@@ -251,6 +251,7 @@ def mixture_next(cfg: MixtureConfig, rng_state: np.random.Generator):
 # text grids
 
 _GRID_MAGIC = "UARGRID"
+_INT64 = np.iinfo(np.int64)
 
 
 def _tokens_with_columns(line: str):
@@ -280,11 +281,40 @@ def write_grid(path, obj) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _bad_row(line: str, lineno: int, mode: str) -> ParseError:
+    """The error for a data row that failed as a whole: its first token,
+    in reading order, that is no `mode` literal, a non-finite float or
+    an int label outside int64."""
+    for tok, col in _tokens_with_columns(line):
+        try:
+            v = int(tok) if mode == "int" else float(tok)
+        except ValueError:
+            return ParseError(f"bad {mode} literal {tok!r}", line=lineno, column=col)
+        if mode == "float" and not np.isfinite(v):
+            return ParseError(f"non-finite value {tok!r}", line=lineno, column=col)
+        if mode == "int" and not _INT64.min <= v <= _INT64.max:
+            return ParseError(f"label {tok!r} does not fit in int64", line=lineno, column=col)
+    raise AssertionError(f"line {lineno}: row failed with no bad token")
+
+
+def _utf8_lines(path):
+    """The file's lines; bytes that are not UTF-8 raise ParseError at the
+    line and column where they start."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        # a sentinel character keeps the line the bad bytes start on
+        head = (raw[:e.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(f"invalid UTF-8: {e.reason}", line=len(head), column=len(head[-1]))
+
+
 def read_grid(path):
-    """Inverse of write_grid. Malformed input raises ParseError naming
-    the 1-based line and column of the offending token."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Inverse of write_grid. Malformed input, undecodable UTF-8
+    included, raises ParseError naming the 1-based line and column of
+    the offending token."""
+    lines = _utf8_lines(path)
     if not lines:
         raise ParseError("empty grid file", line=1, column=1)
     header = _tokens_with_columns(lines[0])
@@ -312,27 +342,27 @@ def read_grid(path):
     if len(lines) < 1 + height:
         raise ParseError(f"expected {height} data rows, found {len(lines) - 1}",
                          line=len(lines) + 1, column=1)
-    rows = []
-    for r in range(height):
-        lineno = 2 + r
-        toks = _tokens_with_columns(lines[1 + r])
+    convert, dtype = (int, np.int64) if mode == "int" else (float, np.float64)
+    values = None
+    # a whole row per step; columns are worked out only for a row that fails
+    for r, line in enumerate(lines[1:1 + height]):
+        toks = line.split()
         if len(toks) != width:
-            col = toks[width][1] if len(toks) > width else len(lines[1 + r]) + 1
+            cols = _tokens_with_columns(line)
+            col = cols[width][1] if len(cols) > width else len(line) + 1
             raise ParseError(f"row has {len(toks)} values, expected {width}",
-                             line=lineno, column=col)
-        row = []
-        for tok, col in toks:
-            try:
-                v = int(tok) if mode == "int" else float(tok)
-            except ValueError:
-                raise ParseError(f"bad {mode} literal {tok!r}", line=lineno, column=col)
-            if mode == "float" and not np.isfinite(v):
-                raise ParseError(f"non-finite value {tok!r}", line=lineno, column=col)
-            row.append(v)
-        rows.append(row)
+                             line=r + 2, column=col)
+        if values is None:  # allocated once a row has shown the header's width is real
+            values = np.empty((height, width), dtype=dtype)
+        try:
+            values[r] = list(map(convert, toks))
+        except (ValueError, OverflowError):
+            raise _bad_row(line, r + 2, mode)
+        if mode == "float" and not np.isfinite(values[r]).all():
+            raise _bad_row(line, r + 2, mode)
     if mode == "int":
-        return SegmentationMap(width, height, np.asarray(rows, dtype=np.int64))
-    return GrayMap(width, height, np.asarray(rows, dtype=np.float64))
+        return SegmentationMap(width, height, values)
+    return GrayMap(width, height, values)
 
 
 # ---------------------------------------------------------------------------

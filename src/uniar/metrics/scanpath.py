@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError, ValidationError
-from ..types import FixationSet, Scanpath, SegmentationMap, _freeze
+from ..types import FixationSet, Scanpath, SegmentationMap, _freeze, fixation_pixels
 
 MOVE_TOL = 1e-3
 MAX_ITER = 300
@@ -165,7 +165,9 @@ def _seg_labels(path: Scanpath, seg: SegmentationMap):
     if path.frame != (seg.width, seg.height):
         raise ValidationError(
             f"scanpath frame {path.frame} does not match segmentation {seg.width}x{seg.height}")
-    return [seg.label_at(x, y) for x, y in path.fixations]
+    # Scanpath already keeps every fixation inside its frame
+    cols, rows = fixation_pixels(path.fixations, seg.width, seg.height)
+    return seg.labels[rows, cols].tolist()
 
 
 def semss(pred: Scanpath, gt: Scanpath, seg: SegmentationMap) -> float:

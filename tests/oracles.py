@@ -1,9 +1,17 @@
 """Independent reference implementations used to cross-check the
 package. Everything here is deliberately naive: pure-Python loops,
 explicit threshold sweeps, pairwise counting, direct per-pixel kernel
-sums. No code is shared with the library paths under test."""
+sums. No code is shared with the library paths under test; the grid
+reader oracle only borrows the package's error and map types, so its
+results compare directly with `read_grid`'s."""
 
 import math
+import re
+
+import numpy as np
+
+from uniar.errors import ParseError
+from uniar.types import GrayMap, SegmentationMap
 
 
 def _flat(values2d):
@@ -285,3 +293,64 @@ def conv2d_transpose_naive(x, w, stride=2, pad=0):
                             for ci in range(cin):
                                 out[oy][ox][co] += x[iy][ix][ci] * w[ky][kx][co][ci]
     return out
+
+
+def read_grid_naive(path):
+    """Token-at-a-time UARGRID reader: a regex match, a column and a
+    conversion per value, in reading order. Reads the file as text, so
+    bad UTF-8 leaks UnicodeDecodeError, and an int label outside int64
+    leaks OverflowError from the final array conversion."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+
+    def tokens(line):
+        return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+
+    if not lines:
+        raise ParseError("empty grid file", line=1, column=1)
+    header = tokens(lines[0])
+    if not header or header[0][0] != "UARGRID":
+        col = header[0][1] if header else 1
+        raise ParseError("expected UARGRID magic", line=1, column=col)
+    if len(header) < 4:
+        raise ParseError("header needs `UARGRID <width> <height> <float|int>`",
+                         line=1, column=len(lines[0]) + 1)
+    if len(header) > 4:
+        raise ParseError("trailing tokens after grid mode", line=1, column=header[4][1])
+    dims = []
+    for tok, col in header[1:3]:
+        try:
+            v = int(tok)
+        except ValueError:
+            raise ParseError(f"expected an integer dimension, got {tok!r}", line=1, column=col)
+        if v <= 0:
+            raise ParseError(f"dimensions must be positive, got {v}", line=1, column=col)
+        dims.append(v)
+    width, height = dims
+    mode, mode_col = header[3]
+    if mode not in ("float", "int"):
+        raise ParseError(f"mode must be float or int, got {mode!r}", line=1, column=mode_col)
+    if len(lines) < 1 + height:
+        raise ParseError(f"expected {height} data rows, found {len(lines) - 1}",
+                         line=len(lines) + 1, column=1)
+    rows = []
+    for r in range(height):
+        lineno = 2 + r
+        toks = tokens(lines[1 + r])
+        if len(toks) != width:
+            col = toks[width][1] if len(toks) > width else len(lines[1 + r]) + 1
+            raise ParseError(f"row has {len(toks)} values, expected {width}",
+                             line=lineno, column=col)
+        row = []
+        for tok, col in toks:
+            try:
+                v = int(tok) if mode == "int" else float(tok)
+            except ValueError:
+                raise ParseError(f"bad {mode} literal {tok!r}", line=lineno, column=col)
+            if mode == "float" and not math.isfinite(v):
+                raise ParseError(f"non-finite value {tok!r}", line=lineno, column=col)
+            row.append(v)
+        rows.append(row)
+    if mode == "int":
+        return SegmentationMap(width, height, np.asarray(rows, dtype=np.int64))
+    return GrayMap(width, height, np.asarray(rows, dtype=np.float64))

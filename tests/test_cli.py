@@ -116,6 +116,11 @@ class TestExitCodes:
         assert run(["mixture-check", "--draws", "50", "--out", str(out)]) == 0
         assert "mixture-check" in capsys.readouterr().err
 
+    def test_python_dash_m_help_exits_zero(self):
+        proc = subprocess.run([sys.executable, "-m", "uniar", "--help"], capture_output=True)
+        assert proc.returncode == 0
+        assert b"usage" in proc.stdout
+
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-c",
                                "import uniar.cli as c; raise SystemExit(c.run(['--help']))"],
@@ -286,6 +291,14 @@ class TestEvalScanpath:
                         "--jobs", jobs]) == 0
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
+
+    def test_int64_overflow_in_segmentation_is_data_error(self, dirs, capsys):
+        (dirs / "seg" / "1.grid").write_text("UARGRID 64 1 int\n" + "0 " * 63 + "99999999999999999999\n")
+        assert run(["eval-scanpath", "--pred", str(dirs / "pred"),
+                    "--gt", str(dirs / "gt"), "--seg", str(dirs / "seg")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "line 2, column 127" in err[0] and "int64" in err[0]
 
     def test_missing_gt_id(self, dirs):
         (dirs / "gt" / "2.jsonl").unlink()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import read_grid_naive
 from uniar.data import (
     BLOB_MARGIN,
     MixtureConfig,
@@ -385,6 +386,133 @@ class TestGrid:
     def test_write_rejects_other_types(self, tmp_path):
         with pytest.raises(ValidationError):
             write_grid(tmp_path / "x.grid", np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", "9223372036854775808",
+                                       "-9223372036854775809"])
+    def test_int_label_outside_int64_names_its_position(self, tmp_path, label):
+        p = tmp_path / "bad.grid"
+        p.write_text(f"UARGRID 2 2 int\n0 0\n0\t{label}\n")
+        with pytest.raises(ParseError, match="does not fit in int64") as e:
+            read_grid(p)
+        assert e.value.line == 3 and e.value.column == 3
+
+    def test_int64_extremes_are_kept(self, tmp_path):
+        p = tmp_path / "s.grid"
+        p.write_text("UARGRID 2 1 int\n9223372036854775807 0\n")
+        assert read_grid(p).labels[0, 0] == 2**63 - 1
+
+    def test_invalid_utf8_names_line_and_column(self, tmp_path):
+        p = tmp_path / "bad.grid"
+        p.write_bytes(b"UARGRID 2 2 float\r\n0 0\r\n0 \xff\n")
+        with pytest.raises(ParseError, match="invalid UTF-8") as e:
+            read_grid(p)
+        assert e.value.line == 3 and e.value.column == 3
+
+    def test_first_error_in_reading_order_wins(self, tmp_path):
+        p = tmp_path / "bad.grid"
+        p.write_text("UARGRID 3 2 float\n0 1e400 x\n0 0 0\n")
+        with pytest.raises(ParseError, match="non-finite") as e:
+            read_grid(p)
+        assert e.value.line == 2 and e.value.column == 3
+
+    def test_huge_width_is_a_row_error(self, tmp_path):
+        p = tmp_path / "bad.grid"
+        p.write_text("UARGRID 10000000000000 1 float\n0 0\n")
+        with pytest.raises(ParseError, match="row has 2 values") as e:
+            read_grid(p)
+        assert e.value.line == 2
+
+
+# A valid grid, written with the spacing and line-end variety a foreign
+# writer may use, then optionally byte-mutated or truncated.
+_ODD_TOKENS = ["1e400", "-1e400", "nan", "inf", "1_0", "1__0", "+7", "-0", "0x10", "1.5",
+               "99999999999999999999", "9223372036854775807", "9223372036854775808",
+               "-9223372036854775809", "1" * 400]
+_SEPS = st.sampled_from([" ", "  ", "\t", " \t", "\u00a0"])
+
+
+@st.composite
+def _grid_bytes(draw):
+    mode = draw(st.sampled_from(["float", "int"]))
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if mode == "float":
+        fmt = draw(st.sampled_from([repr, "%.17g".__mod__, "%e".__mod__]))
+        number = st.floats(allow_nan=False, allow_infinity=False).map(fmt)
+    else:
+        number = st.integers(0, 2**63 - 1).map(str)
+    token = st.one_of(number, number, number, st.sampled_from(_ODD_TOKENS))  # 1 in 4 odd
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"UARGRID{draw(_SEPS)}{w}{draw(_SEPS)}{h}{draw(_SEPS)}{mode}"]
+    for _ in range(h):
+        row = "".join(draw(_SEPS) + draw(token) for _ in range(w))[draw(st.integers(0, 1)):]
+        lines.append(row + draw(st.sampled_from(["", " ", "  \t"])))
+    lines += draw(st.lists(st.sampled_from(["", "   ", "0 0"]), max_size=2))
+    raw = (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode("utf-8")
+    byte = st.one_of(st.sampled_from(b" \t\r\n.-+e_x019"), st.integers(0, 255))
+    for op, pos, b in draw(st.lists(st.tuples(st.sampled_from(["set", "ins", "del", "cut"]),
+                                              st.integers(0, 10**6), byte), max_size=3)):
+        pos %= len(raw) + 1
+        if op == "set" and pos < len(raw):
+            raw = raw[:pos] + bytes([b]) + raw[pos + 1:]
+        elif op == "ins":
+            raw = raw[:pos] + bytes([b]) + raw[pos:]
+        elif op == "del":
+            raw = raw[:pos] + raw[pos + 1:]
+        elif op == "cut":
+            raw = raw[:pos]
+    return raw
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path), None
+    except Exception as e:  # every kind is compared below
+        return None, e
+
+
+class TestGridMatchesOracle:
+    """The row-at-a-time reader against the token-at-a-time oracle:
+    bit-identical arrays, or the same error with the same message, line
+    and column. Two differences are intended:
+
+    - an int label outside int64, where the oracle leaks OverflowError
+      or reports a later error, raises ParseError at that label;
+    - bytes that are not UTF-8, where the oracle leaks
+      UnicodeDecodeError, raise ParseError at the first of them.
+    """
+
+    @settings(max_examples=400)
+    @given(raw=_grid_bytes())
+    def test_same_result_or_same_error(self, raw, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.grid"
+        path.write_bytes(raw)
+        want, want_err = _outcome(read_grid_naive, path)
+        got, got_err = _outcome(read_grid, path)
+        if isinstance(want_err, UnicodeDecodeError):
+            lines = raw.decode("utf-8", "surrogateescape").splitlines()
+            line = next(i for i, text in enumerate(lines, 1)
+                        if any("\udc80" <= c <= "\udcff" for c in text))
+            column = next(i for i, c in enumerate(lines[line - 1], 1) if "\udc80" <= c <= "\udcff")
+            assert isinstance(got_err, ParseError) and "invalid UTF-8" in str(got_err)
+            assert (got_err.line, got_err.column) == (line, column)
+            return
+        if isinstance(got_err, ParseError) and "does not fit in int64" in str(got_err):
+            assert isinstance(want_err, (OverflowError, ParseError))
+            if isinstance(want_err, ParseError):
+                assert (got_err.line, got_err.column) < (want_err.line, want_err.column)
+            text = raw.decode("utf-8").splitlines()[got_err.line - 1]
+            label = int(text[got_err.column - 1:].split()[0])
+            assert not -2**63 <= label < 2**63
+            return
+        if want_err is not None:
+            assert type(got_err) is type(want_err)
+            assert str(got_err) == str(want_err)
+            assert getattr(got_err, "column", None) == getattr(want_err, "column", None)
+            return
+        assert got_err is None and type(got) is type(want)
+        a, b = ((want.labels, got.labels) if isinstance(want, SegmentationMap)
+                else (want.values, got.values))
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

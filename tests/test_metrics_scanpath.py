@@ -19,7 +19,7 @@ from uniar.metrics import (
     semss,
     sequence_score,
 )
-from uniar.metrics.scanpath import MeanShiftResult, _align_vectors
+from uniar.metrics.scanpath import MeanShiftResult, _align_vectors, _seg_labels
 from uniar.types import FixationSet, Scanpath, SegmentationMap
 
 seqs = st.lists(st.integers(0, 4), min_size=1, max_size=10)
@@ -179,6 +179,18 @@ class TestSemanticScores:
         p = Scanpath(frame=(12, 10), fixations=[[11, 1]])
         with pytest.raises(ValidationError):
             semss(p, p, seg)
+
+    @given(st.lists(st.tuples(st.floats(0, 12, exclude_max=True),
+                              st.floats(0, 9, exclude_max=True)), min_size=1, max_size=20),
+           st.integers(0, 2**32 - 1))
+    def test_labels_match_per_point_lookup(self, points, seed):
+        labels = np.random.default_rng(seed).integers(0, 5, size=(9, 12))
+        seg = SegmentationMap(12, 9, labels)
+        path = Scanpath(frame=(12, 9), fixations=points)
+        expect = [seg.label_at(x, y) for x, y in path.fixations]
+        got = _seg_labels(path, seg)
+        assert got == expect
+        assert all(type(v) is int for v in got)
 
 
 def _brute_force_align(u, v):
