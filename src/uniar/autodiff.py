@@ -13,6 +13,7 @@ loop reference (``conv2d_loops``) kept alongside for verification.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 
@@ -644,32 +645,38 @@ def save_checkpoint(path, params: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into an ordered name -> ndarray dict."""
+    """Read a checkpoint back into an ordered name -> ndarray dict. Any
+    truncated or corrupt content raises ValidationError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValidationError("not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, 8)
-    if version != CHECKPOINT_VERSION:
-        raise ValidationError(f"unsupported checkpoint version {version}")
-    off = 12
-    out: dict[str, np.ndarray] = {}
-    while off < len(blob):
-        try:
+    try:
+        (version,) = struct.unpack_from("<I", blob, 8)
+        if version != CHECKPOINT_VERSION:
+            raise ValidationError(f"unsupported checkpoint version {version}")
+        off = 12
+        out: dict[str, np.ndarray] = {}
+        while off < len(blob):
             (nlen,) = struct.unpack_from("<I", blob, off)
             off += 4
+            if nlen > len(blob) - off:
+                raise ValueError("truncated name")
             name = blob[off:off + nlen].decode("utf-8")
-            if len(blob[off:off + nlen]) != nlen:
-                raise struct.error("truncated name")
             off += nlen
             (rank,) = struct.unpack_from("<Q", blob, off)
             off += 8
+            if 8 * rank > len(blob) - off:
+                raise ValueError(f"tensor {name!r}: rank {rank} overruns the file")
             dims = struct.unpack_from(f"<{rank}Q", blob, off)
             off += 8 * rank
-            count = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+            count = math.prod(dims)  # exact: Python ints cannot overflow
+            if 8 * count > len(blob) - off:
+                raise ValueError(f"tensor {name!r}: {8 * count} payload bytes, "
+                                 f"{len(blob) - off} left")
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims)
             off += 8 * count
-        except (struct.error, ValueError) as e:
-            raise ValidationError(f"truncated or corrupt checkpoint: {e}")
-        out[name] = arr.reshape(dims).astype(np.float64)
+            out[name] = arr.astype(np.float64)
+    except (struct.error, ValueError, OverflowError) as e:
+        raise ValidationError(f"truncated or corrupt checkpoint: {e}")
     return out

@@ -7,8 +7,8 @@ the separator word, and wrapped in sentinel tokens:
     <extra_id_01> x1 y1 and x2 y2 and ... xN yN <extra_id_02>
 
 A path of N fixations therefore renders as 3N+1 tokens in total.
-Decoding is fault tolerant: it never raises on arbitrary text and
-keeps whatever well-formed prefix it can recover.
+Decoding is fault tolerant: it never raises on arbitrary model text
+and keeps whatever well-formed prefix it can recover.
 """
 
 from __future__ import annotations
@@ -80,7 +80,9 @@ def _is_bin_token(tok: str) -> bool:
 
 
 def decode_robust(raw: str, frame) -> DecodeResult:
-    """Recover a scanpath from arbitrary model output. Never raises.
+    """Recover a scanpath from arbitrary model output. Never raises on
+    the model string; a frame without positive width and height is the
+    caller's error and raises ValidationError.
 
     The region between the first start sentinel and the next end
     sentinel (falling back to the string boundary when either is

@@ -16,6 +16,7 @@ rating pairs. All writers are deterministic byte-for-byte.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import re
@@ -297,17 +298,53 @@ def _bad_row(line: str, lineno: int, mode: str) -> ParseError:
     raise AssertionError(f"line {lineno}: row failed with no bad token")
 
 
-def _utf8_lines(path):
-    """The file's lines; bytes that are not UTF-8 raise ParseError at the
-    line and column where they start."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _decode_utf8(raw: bytes, lines) -> str:
+    """``raw`` as text. Bytes that are not UTF-8 raise ParseError at the
+    line and column where they start, with lines cut by ``lines``."""
     try:
-        return raw.decode("utf-8").splitlines()
+        return raw.decode("utf-8")
     except UnicodeDecodeError as e:
         # a sentinel character keeps the line the bad bytes start on
-        head = (raw[:e.start].decode("utf-8") + "x").splitlines()
+        head = lines(raw[:e.start].decode("utf-8") + "x")
         raise ParseError(f"invalid UTF-8: {e.reason}", line=len(head), column=len(head[-1]))
+
+
+def _utf8_lines(path):
+    """The file's lines, cut by str.splitlines; bytes that are not UTF-8
+    raise ParseError at the line and column where they start."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return _decode_utf8(raw, str.splitlines).splitlines()
+
+
+def _open_utf8(path, newline=None):
+    """The file as a text stream that cuts lines as ``open(path,
+    newline=newline)`` does. The whole file is checked first: bytes that
+    are not UTF-8 raise ParseError at the line and column where they
+    start, counted the same way."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    _decode_utf8(raw, lambda text: io.StringIO(text, newline=newline).readlines())
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=newline)
+
+
+def read_key_values(path, keys, kind: str):
+    """Yield the `key = value` lines of a file as (key, value, line
+    number) triples in file order; blank lines and #-comments are
+    skipped. A line without a key and `=`, or a key outside ``keys``,
+    raises ParseError (``kind`` names the file in the unknown-key
+    message)."""
+    with _open_utf8(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep or not key:
+                raise ParseError("expected `key = value`", line=lineno)
+            if key not in keys:
+                raise ParseError(f"unknown {kind} key {key!r}", line=lineno)
+            yield key, value, lineno
 
 
 def read_grid(path):
@@ -361,6 +398,11 @@ def read_grid(path):
         if mode == "float" and not np.isfinite(values[r]).all():
             raise _bad_row(line, r + 2, mode)
     if mode == "int":
+        if values.min() < 0:  # checked once the whole grid has parsed
+            r, c = np.argwhere(values < 0)[0].tolist()
+            tok, col = _tokens_with_columns(lines[1 + r])[c]
+            raise ParseError(f"segmentation labels must be >= 0, got {tok!r}",
+                             line=r + 2, column=col)
         return SegmentationMap(width, height, values)
     return GrayMap(width, height, values)
 
@@ -479,7 +521,7 @@ def read_scanpaths(path):
     outside the frame, unknown prompt type) are rejected with the line
     number attached."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -522,7 +564,7 @@ def write_ratings(path, rows) -> None:
 def read_ratings(path):
     """Inverse of write_ratings; returns a list of (id, predicted,
     observed) with floats parsed and checked finite."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -547,20 +589,12 @@ def read_ratings(path):
 # ---------------------------------------------------------------------------
 # handle directories
 
+_META_KEYS = ("name", "input_type", "output_type")
+
+
 def _read_meta(path):
-    meta = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep or not key:
-                raise ParseError("expected `key = value`", line=lineno)
-            if key not in ("name", "input_type", "output_type"):
-                raise ParseError(f"unknown meta key {key!r}", line=lineno)
-            meta[key] = value
-    missing = [k for k in ("name", "input_type", "output_type") if k not in meta]
+    meta = {key: value for key, value, _ in read_key_values(path, _META_KEYS, "meta")}
+    missing = [k for k in _META_KEYS if k not in meta]
     if missing:
         raise ParseError(f"meta.txt missing keys: {', '.join(missing)}")
     return meta
@@ -599,7 +633,7 @@ def save_handle(dirpath, handle: DatasetHandle) -> None:
 
 
 def _read_scores(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -30,6 +30,7 @@ from .codec import (
     encode_target,
     quantize,
 )
+from .data import read_key_values
 from .errors import ParseError, ValidationError
 from .types import (
     INPUT_TYPES,
@@ -183,27 +184,19 @@ def read_config(path) -> ModelConfig:
     """Parse `key = value` lines; unset keys keep their defaults, blank
     lines and #-comments are skipped."""
     fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep or not key:
-                raise ParseError("expected `key = value`", line=lineno)
-            if key in _CONFIG_INT_FIELDS:
-                try:
-                    fields[key] = int(value)
-                except ValueError:
-                    raise ParseError(f"{key} needs an integer, got {value!r}", line=lineno)
-            elif key == "loss_weights":
-                try:
-                    fields[key] = tuple(float(v) for v in value.split(","))
-                except ValueError:
-                    raise ParseError(f"loss_weights needs comma-separated reals, got {value!r}",
-                                     line=lineno)
-            else:
-                raise ParseError(f"unknown config key {key!r}", line=lineno)
+    for key, value, lineno in read_key_values(path, _CONFIG_INT_FIELDS + ("loss_weights",),
+                                              "config"):
+        if key == "loss_weights":
+            try:
+                fields[key] = tuple(float(v) for v in value.split(","))
+            except ValueError:
+                raise ParseError(f"loss_weights needs comma-separated reals, got {value!r}",
+                                 line=lineno)
+        else:
+            try:
+                fields[key] = int(value)
+            except ValueError:
+                raise ParseError(f"{key} needs an integer, got {value!r}", line=lineno)
     return ModelConfig(**fields)
 
 
@@ -363,22 +356,48 @@ def _merge_heads(x):
     return ad.reshape(ad.permute(x, (0, 2, 1, 3)), (b, t, h * hd))
 
 
-def _attention(q_in, kv_in, params, prefix, heads, mask=None):
+def _keys_values(kv_in, params, prefix, heads) -> tuple:
+    """Per-head keys, already transposed for the score product, and
+    values: (B, heads, hd, T) and (B, heads, T, hd)."""
+    b, t, d = kv_in.shape
+    k = ad.reshape(ad.matmul(kv_in, params[f"{prefix}.wk"]), (b, t, heads, d // heads))
+    return (ad.permute(k, (0, 2, 3, 1)),
+            _split_heads(ad.matmul(kv_in, params[f"{prefix}.wv"]), heads))
+
+
+def _attention(q_in, kv_in, params, prefix, heads, mask=None, cache=None, grow=False):
     """Multi-head scaled dot-product attention. ``mask`` is an additive
-    numpy array broadcastable to (B, heads, Tq, Tk)."""
+    numpy array broadcastable to (B, heads, Tq, Tk), or None.
+
+    With a ``cache`` dict, the keys and values are kept under ``prefix``.
+    A growing (self-attention) cache appends those of ``kv_in`` to the
+    cached ones; any other cache computes them from its first ``kv_in``
+    and reuses them on later calls."""
     q = _split_heads(ad.matmul(q_in, params[f"{prefix}.wq"]), heads)
-    k = _split_heads(ad.matmul(kv_in, params[f"{prefix}.wk"]), heads)
-    v = _split_heads(ad.matmul(kv_in, params[f"{prefix}.wv"]), heads)
+    if cache is not None and prefix in cache and not grow:
+        k_t, v = cache[prefix]
+    else:
+        k_t, v = _keys_values(kv_in, params, prefix, heads)
+        if cache is not None:
+            if prefix in cache:
+                old_k, old_v = cache[prefix]
+                k_t, v = ad.concat([old_k, k_t], axis=3), ad.concat([old_v, v], axis=2)
+            cache[prefix] = (k_t, v)
     hd = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+    scores = ad.scale(ad.matmul(q, k_t), 1.0 / np.sqrt(hd))
     if mask is not None:
         scores = ad.add(scores, Tensor(mask))
     att = ad.softmax(scores, axis=-1)
     return ad.matmul(_merge_heads(ad.matmul(att, v)), params[f"{prefix}.wo"])
 
 
-def _causal_mask(length: int) -> np.ndarray:
-    m = np.triu(np.full((length, length), MASK_VALUE), k=1)
+def _causal_mask(length: int, start: int = 0):
+    """Additive mask for ``length`` queries at positions start, start+1,
+    ... over the keys of positions 0 .. start+length-1. None for a single
+    query, which may see every key."""
+    if length == 1:
+        return None
+    m = np.triu(np.full((length, start + length), MASK_VALUE), k=start + 1)
     return m[None, None]
 
 
@@ -531,24 +550,37 @@ def rating_head(image_tokens, params, cfg: ModelConfig) -> RatingSample:
 # ---------------------------------------------------------------------------
 # decoder
 
-def _decode_batch(enc_out, enc_mask: np.ndarray, dec_ids: np.ndarray, params, cfg) -> Tensor:
-    """Teacher-forced decoder logits (B, L, vocab). ``dec_ids`` start
-    with BOS; padding (any id) past a sample's length is harmless as
-    long as the caller zero-weights those positions."""
+def _decode_batch(enc_out, enc_mask, dec_ids: np.ndarray, params, cfg, cache=None) -> Tensor:
+    """Decoder logits (B, L, vocab) under a causal mask. ``enc_mask`` is
+    the additive key mask over ``enc_out``, or None.
+
+    Without a cache (teacher forcing), ``dec_ids`` start with BOS;
+    padding (any id) past a sample's length is harmless as long as the
+    caller zero-weights those positions. With a ``cache`` dict (one per
+    decoded sequence and encoder output, empty at first), ``dec_ids`` are
+    only the positions the cache has not seen yet: they attend to the
+    cached self-attention keys and values, which grow by these positions,
+    and cross-attention keys and values over ``enc_out`` are computed on
+    the first call only."""
     b, length = dec_ids.shape
-    if length > cfg.max_output_tokens:
+    start = cache.get("length", 0) if cache is not None else 0
+    if start + length > cfg.max_output_tokens:
         raise ValidationError(
-            f"decoder input length {length} exceeds max_output_tokens {cfg.max_output_tokens}")
+            f"decoder input length {start + length} exceeds max_output_tokens "
+            f"{cfg.max_output_tokens}")
     y = ad.add(ad.embedding(params["dec_embed"], dec_ids),
-               ad.narrow(params["pos_dec"], 0, 0, length))
-    causal = _causal_mask(length)
+               ad.narrow(params["pos_dec"], 0, start, length))
+    causal = _causal_mask(length, start)
     for i in range(cfg.decoder_layers):
         h = _ln(y, params, f"dec{i}.ln1")
-        y = ad.add(y, _attention(h, h, params, f"dec{i}.self", cfg.heads, mask=causal))
+        y = ad.add(y, _attention(h, h, params, f"dec{i}.self", cfg.heads, mask=causal,
+                                 cache=cache, grow=True))
         ca = _attention(_ln(y, params, f"dec{i}.ln2"), enc_out,
-                        params, f"dec{i}.cross", cfg.heads, mask=enc_mask)
+                        params, f"dec{i}.cross", cfg.heads, mask=enc_mask, cache=cache)
         y = ad.add(y, ca)
         y = ad.add(y, _ffn(_ln(y, params, f"dec{i}.ln3"), params, f"dec{i}.ffn"))
+    if cache is not None:
+        cache["length"] = start + length
     y = _ln(y, params, "dec_ln")
     return ad.add(ad.matmul(y, params["out.w"]), params["out.b"])
 
@@ -566,40 +598,45 @@ def scanpath_teacher_loss(fused_tokens, target: TokenString, params, cfg: ModelC
             f"target has {labels.size} tokens, limit {cfg.max_output_tokens}")
     dec_in = np.concatenate([[BOS_ID], labels[:-1]])
     enc = ad.reshape(t, (1,) + t.shape)
-    logits = _decode_batch(enc, np.zeros((1, 1, 1, t.shape[0])), dec_in[None], params, cfg)
+    logits = _decode_batch(enc, None, dec_in[None], params, cfg)
     ce = ad.cross_entropy_with_logits(logits, labels[None])
     return ad.mean(ce)
 
 
-def next_token_logits(fused_tokens, params, cfg: ModelConfig, prefix_ids=(BOS_ID,)) -> np.ndarray:
+def next_token_logits(fused_tokens, params, cfg: ModelConfig, prefix_ids=(BOS_ID,),
+                      cache=None) -> np.ndarray:
     """Logits over the vocabulary for the next position after
-    ``prefix_ids`` (which must start with BOS). Inference-only."""
+    ``prefix_ids``. Inference-only. Without a cache, ``prefix_ids`` is
+    the whole prefix and must start with BOS; it is recomputed in full.
+    With a ``cache`` dict (see _decode_batch), ``prefix_ids`` are the
+    positions after those the cache has seen, BOS first on an empty one."""
     t = fused_tokens if isinstance(fused_tokens, Tensor) else Tensor(fused_tokens)
     ids = np.asarray(list(prefix_ids), dtype=np.int64)
     with ad.no_grad():
         enc = ad.reshape(t, (1,) + t.shape)
-        logits = _decode_batch(enc, np.zeros((1, 1, 1, t.shape[0])), ids[None], params, cfg)
+        # one unpadded sequence: every encoder position is a key
+        logits = _decode_batch(enc, None, ids[None], params, cfg, cache=cache)
     return logits.data[0, -1].copy()
 
 
 def scanpath_generate(fused_tokens, params, cfg: ModelConfig, max_tokens=None) -> str:
     """Greedy decode starting from BOS; stops after emitting the end
     sentinel or max_tokens tokens. The raw string may be malformed,
-    downstream decoding is fault-tolerant."""
+    downstream decoding is fault-tolerant. Each step decodes only the
+    newest token, against a key/value cache of the earlier ones."""
     if max_tokens is None:
         max_tokens = cfg.max_output_tokens
     if not (1 <= max_tokens <= cfg.max_output_tokens):
         raise ValidationError(
             f"max_tokens must lie in [1, {cfg.max_output_tokens}], got {max_tokens}")
-    prefix = [BOS_ID]
+    cache: dict = {}
+    last = BOS_ID
     out = []
     for _ in range(max_tokens):
-        logits = next_token_logits(fused_tokens, params, cfg, prefix)
-        nxt = int(np.argmax(logits))
-        out.append(nxt)
-        if nxt == END_ID:
+        last = int(np.argmax(next_token_logits(fused_tokens, params, cfg, [last], cache=cache)))
+        out.append(last)
+        if last == END_ID:
             break
-        prefix.append(nxt)
     return " ".join(id_token(i) for i in out)
 
 

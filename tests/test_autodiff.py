@@ -2,9 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniar import autodiff as ad
-from uniar.errors import NumericError, ValidationError
+from uniar.errors import NumericError, UniarError, ValidationError
 
 from oracles import conv2d_naive, conv2d_transpose_naive
 
@@ -503,3 +505,59 @@ def test_checkpoint_unknown_version(tmp_path):
     path.write_bytes(b"UARCKPT1" + struct.pack("<I", 9))
     with pytest.raises(ValidationError):
         ad.load_checkpoint(path)
+
+
+def _record(name, dims, payload=b""):
+    nb = name.encode("utf-8")
+    return (struct.pack("<I", len(nb)) + nb + struct.pack("<Q", len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims) + payload)
+
+
+@pytest.mark.parametrize("blob,message", [
+    (b"UARCKPT1\x01", "requires a buffer"),                       # version cut short
+    (b"UARCKPT1" + struct.pack("<I", 1) + _record("w", (2**33, 2**33)), "payload bytes"),
+    (b"UARCKPT1" + struct.pack("<I", 1) + _record("w", (2**63, 2)), "payload bytes"),
+    (b"UARCKPT1" + struct.pack("<I", 1) + _record("w", (0, 2**63)), "dimension"),
+    (b"UARCKPT1" + struct.pack("<I", 1) + _record("w", (1,) * 100, bytes(8)), "dimension"),
+    (b"UARCKPT1" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
+     + struct.pack("<Q", 2**62), "overruns the file"),
+    (b"UARCKPT1" + struct.pack("<I", 1) + struct.pack("<I", 2) + b"\xff\xfe", "utf-8"),
+], ids=["short-version", "dims-2^66", "dims-2^64", "zero-by-2^63", "rank-100", "rank-2^62",
+        "name-not-utf8"])
+def test_checkpoint_corrupt_header_is_validation_error(tmp_path, blob, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(ValidationError, match="truncated or corrupt checkpoint") as e:
+        ad.load_checkpoint(path)
+    assert message in str(e.value)
+
+
+@settings(max_examples=300)
+@given(edits=st.lists(st.tuples(st.sampled_from(["set", "ins", "del", "cut", "u64"]),
+                                st.integers(0, 10**6), st.integers(0, 2**64 - 1)),
+                      min_size=1, max_size=3))
+def test_mutated_checkpoint_only_raises_uniar_errors(tmp_path_factory, edits):
+    """Byte mutations and truncations of a saved checkpoint either load
+    or raise a UniarError; nothing else escapes."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    rng = np.random.default_rng(4)
+    ad.save_checkpoint(path, {"enc.w": rng.normal(size=(3, 4)), "bias": rng.normal(size=(7,)),
+                              "scalar": np.array(2.5), "conv.w": rng.normal(size=(2, 2, 1, 3))})
+    raw = path.read_bytes()
+    for op, pos, value in edits:
+        pos %= len(raw) + 1
+        if op == "set" and pos < len(raw):
+            raw = raw[:pos] + bytes([value % 256]) + raw[pos + 1:]
+        elif op == "ins":
+            raw = raw[:pos] + bytes([value % 256]) + raw[pos:]
+        elif op == "del":
+            raw = raw[:pos] + raw[pos + 1:]
+        elif op == "cut":
+            raw = raw[:pos]
+        elif op == "u64":  # a wild size or rank field
+            raw = raw[:pos] + struct.pack("<Q", value) + raw[pos + 8:]
+    path.write_bytes(raw)
+    try:
+        ad.load_checkpoint(path)
+    except UniarError:
+        pass

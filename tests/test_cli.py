@@ -422,6 +422,19 @@ class TestPredict:
             assert prompt.output_type == "scanpath"
             assert overlay.exists()
 
+    @pytest.mark.parametrize("keep", [9, 30, -5])
+    def test_truncated_checkpoint_is_data_error(self, trained, tmp_path, capsys, keep):
+        img_path = tmp_path / "img.ppm"
+        write_ppm(img_path, gen_saliency_task(9, 1).samples[0].image)
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes((trained / "model.ckpt").read_bytes()[:keep])
+        assert run(["predict", str(img_path), "--ckpt", str(ckpt),
+                    "--config", str(trained / "config.txt"),
+                    "--prompt", "INPUT_TYPE: natural image OUTPUT_TYPE: scanpath",
+                    "--out", str(tmp_path / "pred.jsonl")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "checkpoint" in err[0]
+
     def test_score_stdout_matches_file(self, trained, tmp_path, capsys):
         img_path = tmp_path / "img.ppm"
         write_ppm(img_path, gen_rating_task(9, 1, size=64).samples[0].image)

@@ -156,6 +156,16 @@ class TestDecodeRobust:
         out = decode_robust(raw, (100, 100))
         assert out.valid == (out.fixations_recovered > 0)
 
+    @given(raw=st.text(max_size=40), w=st.integers(-3, 3), h=st.integers(-3, 3))
+    def test_contract_text_never_raises_invalid_frame_always_does(self, raw, w, h):
+        # the docstring's two halves: whatever the string, a frame with a
+        # non-positive side raises, and a valid frame never does
+        if w > 0 and h > 0:
+            assert decode_robust(raw, (w, h)).valid in (True, False)
+        else:
+            with pytest.raises(ValidationError, match="frame dimensions must be positive"):
+                decode_robust(raw, (w, h))
+
     def test_fuzz_near_format_strings(self):
         rng = np.random.default_rng(99)
         pieces = ["<extra_id_01>", "<extra_id_02>", "and", "12", "999", "1000",

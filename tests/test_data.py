@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import read_grid_naive
+from uniar import data
 from uniar.data import (
     BLOB_MARGIN,
     MixtureConfig,
@@ -31,6 +32,7 @@ from uniar.data import (
     write_scanpaths,
 )
 from uniar.errors import ParseError, ValidationError
+from uniar.model import read_config
 from uniar.types import (
     DatasetHandle,
     GrayMap,
@@ -408,6 +410,15 @@ class TestGrid:
             read_grid(p)
         assert e.value.line == 3 and e.value.column == 3
 
+    @pytest.mark.parametrize("text,column", [("UARGRID 1 1 int\n-1\n", 1),
+                                             ("UARGRID 3 1 int\n0  1 -4\n", 6)])
+    def test_negative_label_names_line_and_column(self, tmp_path, text, column):
+        p = tmp_path / "neg.grid"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="labels must be >= 0") as e:
+            read_grid(p)
+        assert e.value.line == 2 and e.value.column == column
+
     def test_first_error_in_reading_order_wins(self, tmp_path):
         p = tmp_path / "bad.grid"
         p.write_text("UARGRID 3 2 float\n0 1e400 x\n0 0 0\n")
@@ -425,7 +436,7 @@ class TestGrid:
 
 # A valid grid, written with the spacing and line-end variety a foreign
 # writer may use, then optionally byte-mutated or truncated.
-_ODD_TOKENS = ["1e400", "-1e400", "nan", "inf", "1_0", "1__0", "+7", "-0", "0x10", "1.5",
+_ODD_TOKENS = ["1e400", "-1e400", "nan", "inf", "1_0", "1__0", "+7", "-0", "-1", "0x10", "1.5",
                "99999999999999999999", "9223372036854775807", "9223372036854775808",
                "-9223372036854775809", "1" * 400]
 _SEPS = st.sampled_from([" ", "  ", "\t", " \t", "\u00a0"])
@@ -473,12 +484,15 @@ def _outcome(reader, path):
 class TestGridMatchesOracle:
     """The row-at-a-time reader against the token-at-a-time oracle:
     bit-identical arrays, or the same error with the same message, line
-    and column. Two differences are intended:
+    and column. Three differences are intended:
 
     - an int label outside int64, where the oracle leaks OverflowError
       or reports a later error, raises ParseError at that label;
     - bytes that are not UTF-8, where the oracle leaks
-      UnicodeDecodeError, raise ParseError at the first of them.
+      UnicodeDecodeError, raise ParseError at the first of them;
+    - a negative int label in a grid that otherwise parses, where the
+      oracle raises a ValidationError with no position from
+      SegmentationMap, raises ParseError at the first such label.
     """
 
     @settings(max_examples=400)
@@ -503,6 +517,15 @@ class TestGridMatchesOracle:
             text = raw.decode("utf-8").splitlines()[got_err.line - 1]
             label = int(text[got_err.column - 1:].split()[0])
             assert not -2**63 <= label < 2**63
+            return
+        if isinstance(got_err, ParseError) and "labels must be >= 0" in str(got_err):
+            assert type(want_err) is ValidationError
+            assert str(want_err) == "segmentation labels must be >= 0"
+            lines = raw.decode("utf-8").splitlines()
+            text = lines[got_err.line - 1]
+            assert -2**63 <= int(text[got_err.column - 1:].split()[0]) < 0
+            before = lines[1:got_err.line - 1] + [text[:got_err.column - 1]]
+            assert all(int(tok) >= 0 for row in before for tok in row.split())
             return
         if want_err is not None:
             assert type(got_err) is type(want_err)
@@ -695,6 +718,37 @@ class TestRatingFile:
         p.write_text("")
         with pytest.raises(ParseError):
             read_ratings(p)
+
+
+# ---------------------------------------------------------------------------
+# bytes that are not UTF-8, in every text reader
+
+_PATH_LINE = (b'{"frame": [8, 8], "fixations": [[1.0, 1.0]], '
+              b'"input_type": "natural image", "output_type": "scanpath", "query": null}')
+
+
+@pytest.mark.parametrize("reader,raw,line,column", [
+    (read_scanpaths, _PATH_LINE + b"\r\n" + _PATH_LINE[:11] + b"\xff" + _PATH_LINE[11:], 2, 12),
+    (read_scanpaths, _PATH_LINE + b"\r" + _PATH_LINE + b"\r" + b"\xc3(", 3, 1),
+    (read_scanpaths, b'{"a": "x\x0cy\xff"}\n', 1, 11),  # a form feed ends no line here
+    (read_ratings, b"id,predicted,observed\nx,0.5,0.25\ny,0.\xff5,1\n", 3, 5),
+    (data._read_scores, b"id,score\r\n000000,0.5\r\n\xe2\x82,0.25\n", 3, 1),
+    (data._read_meta, b"name = x\ninput_type = natural \xffimage\n", 2, 22),
+    (read_config, b"# c\xf0\x9f\x98\x80mment\nembed_dim = 3\xa02\n", 2, 14),
+], ids=["jsonl-crlf", "jsonl-cr", "jsonl-formfeed", "ratings", "scores", "meta", "config"])
+def test_non_utf8_bytes_are_parse_errors_at_their_position(tmp_path, reader, raw, line, column):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(raw)
+    with pytest.raises(ParseError, match="invalid UTF-8") as e:
+        reader(p)
+    assert (e.value.line, e.value.column) == (line, column)
+
+
+def test_csv_readers_keep_quoted_newlines(tmp_path):
+    p = tmp_path / "r.csv"
+    rows = [("a\r\nb", 0.5, 0.25), ("c\nd", 1.0, 0.0)]
+    write_ratings(p, rows)
+    assert read_ratings(p) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,83 @@ def test_untrained_generation_never_crashes_decoding():
     assert result.valid in (True, False)
 
 
+# a 64-token decoder on the small encoder, for the key/value cache checks
+DECODE = M.ModelConfig(image_size=20, patch_size=4, embed_dim=16,
+                       encoder_layers=1, decoder_layers=2, heads=2,
+                       max_output_tokens=64)
+
+
+def _decode_case(i):
+    """Seeded input i: four init_params seeds, the fourth with a raised
+    END bias so that its paths stop early; caps cycle through 1, 9, 64."""
+    params = M.init_params(DECODE, seed=i % 4)
+    if i % 4 == 3:
+        params["out.b"].data[M.END_ID] += 3.0
+    rng = np.random.default_rng(1000 + i)
+    prompt = M.tokenize_prompt(path_prompt("brightest" if i % 2 else None))
+    fused = M.encode_inputs(rng.uniform(size=(20, 20, 3)), prompt, params, DECODE)
+    return fused, params, (1, 9, 64)[i % 3]
+
+
+def _greedy_full_recompute(fused, params, cfg, max_tokens):
+    """Greedy decode that reruns the whole prefix every step, with the
+    logits of each step."""
+    prefix, steps = [M.BOS_ID], []
+    for _ in range(max_tokens):
+        logits = M.next_token_logits(fused, params, cfg, prefix)
+        steps.append(logits)
+        nxt = int(np.argmax(logits))
+        prefix.append(nxt)
+        if nxt == M.END_ID:
+            break
+    return prefix[1:], steps
+
+
+def test_cached_logits_match_full_recompute_at_every_step():
+    for i in range(8):
+        fused, params, _ = _decode_case(i)
+        ids, full = _greedy_full_recompute(fused, params, DECODE, 64)
+        cache = {}
+        for step, prev in enumerate([M.BOS_ID] + ids[:-1]):
+            cached = M.next_token_logits(fused, params, DECODE, [prev], cache=cache)
+            assert np.abs(cached - full[step]).max() <= 1e-12
+        assert cache["length"] == len(ids)
+
+
+def test_cached_generation_matches_full_recompute_strings():
+    stopped_early = 0
+    for i in range(102):
+        fused, params, cap = _decode_case(i)
+        ids, _ = _greedy_full_recompute(fused, params, DECODE, cap)
+        want = " ".join(M.id_token(t) for t in ids)
+        assert M.scanpath_generate(fused, params, DECODE, max_tokens=cap) == want
+        stopped_early += 1 < len(ids) < cap and ids[-1] == M.END_ID
+    assert stopped_early >= 3
+
+
+def test_cache_accepts_several_new_positions_at_once():
+    fused, params, _ = _decode_case(5)
+    ids = [M.BOS_ID, 7, M.SEP_ID, 300, 12, 999]
+    cache = {}
+    M.next_token_logits(fused, params, DECODE, ids[:1], cache=cache)
+    chunk = M.next_token_logits(fused, params, DECODE, ids[1:4], cache=cache)
+    last = M.next_token_logits(fused, params, DECODE, ids[4:], cache=cache)
+    assert np.abs(chunk - M.next_token_logits(fused, params, DECODE, ids[:4])).max() <= 1e-12
+    assert np.abs(last - M.next_token_logits(fused, params, DECODE, ids)).max() <= 1e-12
+
+
+def test_cache_at_max_output_tokens_raises():
+    fused, params, _ = _decode_case(0)
+    cache = {}
+    M.next_token_logits(fused, params, DECODE, [M.BOS_ID] + [5] * 62, cache=cache)
+    M.next_token_logits(fused, params, DECODE, [5], cache=cache)
+    assert cache["length"] == DECODE.max_output_tokens
+    with pytest.raises(ValidationError, match="exceeds max_output_tokens"):
+        M.next_token_logits(fused, params, DECODE, [5], cache=cache)
+    with pytest.raises(ValidationError, match="exceeds max_output_tokens"):
+        M.next_token_logits(fused, params, DECODE, [M.BOS_ID] + [5] * 64)
+
+
 def test_prompt_conditioning_changes_logits():
     params = M.init_params(CFG, seed=15)
     img = rand_image(np.random.default_rng(16), 64)
