@@ -7,8 +7,8 @@ order. Every forward result is checked for NaN/Inf, so attention
 masks must use large finite negatives rather than -inf.
 
 Performance is a non-goal beyond keeping desk-scale training runs in
-the minutes range; convolutions use an im2col path with an explicit
-loop reference (``conv2d_loops``) kept alongside for verification.
+the minutes range; convolutions use an im2col path, checked against
+the explicit-loop oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -460,29 +460,6 @@ def conv2d_transpose(x, w, stride: int = 2, pad: int = 0) -> Tensor:
         return gx, gw
 
     return _make(data, (x, w), bwd, "conv2d_transpose")
-
-
-def conv2d_loops(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Explicit-loop forward reference for conv2d, kept for
-    verification against the im2col path."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    n, h, wd, cin = x.shape
-    kh, kw, cin2, cout = w.shape
-    assert cin == cin2
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    out = np.zeros((n, oh, ow, cout))
-    for b in range(n):
-        for oy in range(oh):
-            for ox in range(ow):
-                for ky in range(kh):
-                    for kx in range(kw):
-                        iy = oy * stride + ky - pad
-                        ix = ox * stride + kx - pad
-                        if 0 <= iy < h and 0 <= ix < wd:
-                            out[b, oy, ox, :] += x[b, iy, ix, :] @ w[ky, kx, :, :]
-    return out
 
 
 # ---------------------------------------------------------------------------

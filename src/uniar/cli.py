@@ -250,9 +250,8 @@ HEATMAP_HEADERS = ("cc+", "kld-", "auc_judd+", "sauc+", "nss+", "sim+", "rmse-",
 
 
 def _heatmap_one(task):
-    sid, pred_path, gt_path, fix_path, neg_norm, seed, sigma = task
+    sid, pred_path, gt_path, fixations, neg_norm, seed, sigma = task
     pred = _read_map(pred_path)
-    fixations = _pooled_fixations(fix_path) if fix_path else None
     if gt_path is not None:
         gt = _read_map(gt_path)
     else:
@@ -261,7 +260,7 @@ def _heatmap_one(task):
                 f"{sid}: no ground-truth map; need fixations and --sigma to build one")
         gt = fixations_to_map(fixations, sigma)
     negatives = None
-    if fixations is not None and neg_norm is not None and len(neg_norm):
+    if fixations is not None and len(neg_norm):
         # negatives come from other images; rescale their normalized
         # coordinates into this ground truth's frame
         pts = neg_norm * np.array([gt.width, gt.height], dtype=np.float64)
@@ -275,18 +274,23 @@ def _cmd_eval_heatmap(args) -> None:
     gts = _map_files(args.gt)
     if not preds:
         raise ValidationError(f"{args.pred}: no .pgm or .grid maps")
-    fixes = _path_files(args.fix) if args.fix else {}
-    norm_points = {}
-    for sid, path in fixes.items():
-        fs = _pooled_fixations(path)
-        norm_points[sid] = fs.points / np.array(fs.frame, dtype=np.float64)
+    fixes = {sid: _pooled_fixations(path)
+             for sid, path in (_path_files(args.fix) if args.fix else {}).items()}
+    # every file's points in frame-normalized units, pooled in file order;
+    # a sample's negatives are the pool without its own rows
+    pool, own, start = [np.zeros((0, 2))], {}, 0
+    for sid, fs in fixes.items():
+        pool.append(fs.points / np.array(fs.frame, dtype=np.float64))
+        own[sid] = (start, start + len(fs))
+        start += len(fs)
+    pool = np.vstack(pool)
     tasks = []
     for sid in sorted(preds):
         gt_path = gts.get(sid)
-        if gt_path is None and not fixes.get(sid):
+        if gt_path is None and sid not in fixes:
             raise ValidationError(f"{sid}: no ground truth in {args.gt}")
-        others = [pts for k, pts in norm_points.items() if k != sid]
-        neg = np.vstack(others) if others else None
+        lo, hi = own.get(sid, (0, 0))
+        neg = np.concatenate([pool[:lo], pool[hi:]])
         tasks.append((sid, preds[sid], gt_path, fixes.get(sid), neg, args.seed, args.sigma))
     log.info("eval-heatmap: %d samples, jobs=%d", len(tasks), args.jobs)
     rows = _pmap(_heatmap_one, tasks, args.jobs)

@@ -649,6 +649,8 @@ def _read_scores(path):
                 scores[row[0]] = float(row[1])
             except ValueError:
                 raise ParseError(f"bad score {row[1]!r}", line=lineno)
+    if not scores:
+        raise ParseError("scores.csv has no rows below its header", line=2)
     return scores
 
 

@@ -456,30 +456,17 @@ def _encode_batch(images: np.ndarray, prompt_ids: np.ndarray,
     return _ln(seq, params, "enc_ln"), key_mask
 
 
-def encode_inputs(image, prompt_tokens, params, cfg: ModelConfig) -> Tensor:
-    """Single-sample encoder. ``image`` is an ImageGrid at exactly the
-    model resolution (pad smaller inputs upstream with pad_image) or an
-    equivalent (S, S, 3) array; ``prompt_tokens`` are vocabulary ids.
-    Returns the fused (n_patches + P, D) sequence."""
-    if isinstance(image, ImageGrid):
-        if (image.width, image.height) != (cfg.image_size, cfg.image_size):
-            raise ValidationError(
-                f"image {image.width}x{image.height} does not match model resolution "
-                f"{cfg.image_size}; pad it first")
-        arr = np.asarray(image.pixels)
-    else:
-        arr = np.asarray(image, dtype=np.float64)
-        if arr.shape != (cfg.image_size, cfg.image_size, 3):
-            raise ValidationError(
-                f"image shape {arr.shape} does not match ({cfg.image_size}, {cfg.image_size}, 3)")
-    ids = np.asarray(list(prompt_tokens), dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValidationError("prompt_tokens must be a non-empty id sequence")
-    if ids.min() < 0 or ids.max() >= len(DEFAULT_PROMPT_VOCAB):
-        raise ValidationError("unknown prompt token id")
-    mask = np.zeros((1, 1, 1, ids.size))
-    fused, _ = _encode_batch(arr[None], ids[None], mask, params, cfg)
-    return ad.reshape(fused, fused.shape[1:])
+def encode_inputs(image: ImageGrid, prompt: PromptSpec, params, cfg: ModelConfig) -> Tensor:
+    """Single-sample inference encoder: pads the image onto the model
+    canvas, tokenizes the prompt and runs _encode_batch without a graph.
+    Returns the fused (1, n_patches + P, D) sequence, which the
+    predict_* functions, next_token_logits and scanpath_generate take
+    as is."""
+    images = pad_image(image, cfg.image_size)[None]
+    prompt_ids, prompt_mask = _prompt_batch([prompt], cfg)
+    with ad.no_grad():
+        fused, _ = _encode_batch(images, prompt_ids, prompt_mask, params, cfg)
+    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -526,27 +513,6 @@ def _rating_batch(img_tokens, params, cfg) -> Tensor:
     return ad.reshape(x, (b,))
 
 
-def heatmap_head(image_tokens, params, cfg: ModelConfig) -> GrayMap:
-    """Full-resolution unit-range map from a single sample's image
-    tokens ((n_patches, D), e.g. the first n_patches rows of
-    encode_inputs output)."""
-    t = image_tokens if isinstance(image_tokens, Tensor) else Tensor(image_tokens)
-    if t.shape != (cfg.n_patches, cfg.embed_dim):
-        raise ValidationError(
-            f"image tokens shape {t.shape} does not match ({cfg.n_patches}, {cfg.embed_dim})")
-    out = _heatmap_batch(ad.reshape(t, (1,) + t.shape), params, cfg)
-    return GrayMap(cfg.image_size, cfg.image_size, out.data[0], kind="unit-range")
-
-
-def rating_head(image_tokens, params, cfg: ModelConfig) -> RatingSample:
-    t = image_tokens if isinstance(image_tokens, Tensor) else Tensor(image_tokens)
-    if t.shape != (cfg.n_patches, cfg.embed_dim):
-        raise ValidationError(
-            f"image tokens shape {t.shape} does not match ({cfg.n_patches}, {cfg.embed_dim})")
-    out = _rating_batch(ad.reshape(t, (1,) + t.shape), params, cfg)
-    return RatingSample(float(out.data[0]))
-
-
 # ---------------------------------------------------------------------------
 # decoder
 
@@ -585,45 +551,27 @@ def _decode_batch(enc_out, enc_mask, dec_ids: np.ndarray, params, cfg, cache=Non
     return ad.add(ad.matmul(y, params["out.w"]), params["out.b"])
 
 
-def scanpath_teacher_loss(fused_tokens, target: TokenString, params, cfg: ModelConfig):
-    """Mean per-token cross-entropy of the target string under teacher
-    forcing (uniform token weights). ``fused_tokens`` is a single
-    sample's encoder output."""
-    t = fused_tokens if isinstance(fused_tokens, Tensor) else Tensor(fused_tokens)
-    if t.ndim != 2:
-        raise ValidationError("fused tokens must be a (T, D) sequence")
-    labels = target_token_ids(target)
-    if labels.size > cfg.max_output_tokens:
-        raise ValidationError(
-            f"target has {labels.size} tokens, limit {cfg.max_output_tokens}")
-    dec_in = np.concatenate([[BOS_ID], labels[:-1]])
-    enc = ad.reshape(t, (1,) + t.shape)
-    logits = _decode_batch(enc, None, dec_in[None], params, cfg)
-    ce = ad.cross_entropy_with_logits(logits, labels[None])
-    return ad.mean(ce)
-
-
-def next_token_logits(fused_tokens, params, cfg: ModelConfig, prefix_ids=(BOS_ID,),
+def next_token_logits(fused, params, cfg: ModelConfig, prefix_ids=(BOS_ID,),
                       cache=None) -> np.ndarray:
     """Logits over the vocabulary for the next position after
-    ``prefix_ids``. Inference-only. Without a cache, ``prefix_ids`` is
-    the whole prefix and must start with BOS; it is recomputed in full.
-    With a ``cache`` dict (see _decode_batch), ``prefix_ids`` are the
-    positions after those the cache has seen, BOS first on an empty one."""
-    t = fused_tokens if isinstance(fused_tokens, Tensor) else Tensor(fused_tokens)
+    ``prefix_ids``, given encode_inputs' (1, T, D) output. Inference-only.
+    Without a cache, ``prefix_ids`` is the whole prefix and must start
+    with BOS; it is recomputed in full. With a ``cache`` dict (see
+    _decode_batch), ``prefix_ids`` are the positions after those the
+    cache has seen, BOS first on an empty one."""
     ids = np.asarray(list(prefix_ids), dtype=np.int64)
     with ad.no_grad():
-        enc = ad.reshape(t, (1,) + t.shape)
         # one unpadded sequence: every encoder position is a key
-        logits = _decode_batch(enc, None, ids[None], params, cfg, cache=cache)
+        logits = _decode_batch(fused, None, ids[None], params, cfg, cache=cache)
     return logits.data[0, -1].copy()
 
 
-def scanpath_generate(fused_tokens, params, cfg: ModelConfig, max_tokens=None) -> str:
-    """Greedy decode starting from BOS; stops after emitting the end
-    sentinel or max_tokens tokens. The raw string may be malformed,
-    downstream decoding is fault-tolerant. Each step decodes only the
-    newest token, against a key/value cache of the earlier ones."""
+def scanpath_generate(fused, params, cfg: ModelConfig, max_tokens=None) -> str:
+    """Greedy decode of encode_inputs' (1, T, D) output, starting from
+    BOS; stops after emitting the end sentinel or max_tokens tokens. The
+    raw string may be malformed, downstream decoding is fault-tolerant.
+    Each step decodes only the newest token, against a key/value cache
+    of the earlier ones."""
     if max_tokens is None:
         max_tokens = cfg.max_output_tokens
     if not (1 <= max_tokens <= cfg.max_output_tokens):
@@ -633,7 +581,7 @@ def scanpath_generate(fused_tokens, params, cfg: ModelConfig, max_tokens=None) -
     last = BOS_ID
     out = []
     for _ in range(max_tokens):
-        last = int(np.argmax(next_token_logits(fused_tokens, params, cfg, [last], cache=cache)))
+        last = int(np.argmax(next_token_logits(fused, params, cfg, [last], cache=cache)))
         out.append(last)
         if last == END_ID:
             break
@@ -779,22 +727,13 @@ def run_training(params, cfg: ModelConfig, next_sample, steps: int,
 
 
 # ---------------------------------------------------------------------------
-# inference wrappers
-
-def _encode_for_inference(image: ImageGrid, prompt: PromptSpec, params, cfg):
-    arr = pad_image(image, cfg.image_size)
-    ids = np.asarray(tokenize_prompt(prompt), dtype=np.int64)
-    mask = np.zeros((1, 1, 1, ids.size))
-    with ad.no_grad():
-        fused, _ = _encode_batch(arr[None], ids[None], mask, params, cfg)
-    return fused
-
+# inference
 
 def predict_heatmap(image: ImageGrid, prompt: PromptSpec, params, cfg: ModelConfig) -> GrayMap:
     """Unit-range map cropped to the image's own dimensions."""
     if prompt.kind != "heatmap":
         raise ValidationError(f"prompt output type {prompt.output_type!r} is not a heatmap task")
-    fused = _encode_for_inference(image, prompt, params, cfg)
+    fused = encode_inputs(image, prompt, params, cfg)
     with ad.no_grad():
         full = _heatmap_batch(_image_tokens(fused, cfg), params, cfg)
     values = full.data[0, :image.height, :image.width]
@@ -804,7 +743,7 @@ def predict_heatmap(image: ImageGrid, prompt: PromptSpec, params, cfg: ModelConf
 def predict_rating(image: ImageGrid, prompt: PromptSpec, params, cfg: ModelConfig) -> RatingSample:
     if prompt.kind != "score":
         raise ValidationError(f"prompt output type {prompt.output_type!r} is not a rating task")
-    fused = _encode_for_inference(image, prompt, params, cfg)
+    fused = encode_inputs(image, prompt, params, cfg)
     with ad.no_grad():
         out = _rating_batch(_image_tokens(fused, cfg), params, cfg)
     return RatingSample(float(out.data[0]))
@@ -816,7 +755,6 @@ def predict_scanpath(image: ImageGrid, prompt: PromptSpec, params, cfg: ModelCon
     own frame."""
     if prompt.kind != "scanpath":
         raise ValidationError(f"prompt output type {prompt.output_type!r} is not a scanpath task")
-    fused = _encode_for_inference(image, prompt, params, cfg)
-    raw = scanpath_generate(ad.reshape(fused, fused.shape[1:]), params, cfg,
-                            max_tokens=max_tokens)
+    fused = encode_inputs(image, prompt, params, cfg)
+    raw = scanpath_generate(fused, params, cfg, max_tokens=max_tokens)
     return raw, decode_robust(raw, (image.width, image.height))

@@ -157,9 +157,10 @@ class SegmentationMap:
 def _check_frame(frame) -> tuple[int, int]:
     try:
         w, h = frame
-    except Exception:
-        raise ValidationError(f"frame must be a (width, height) pair, got {frame!r}")
-    w, h = int(w), int(h)
+        w, h = int(w), int(h)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"frame must be a (width, height) pair of finite numbers, "
+                              f"got {frame!r}")
     if w <= 0 or h <= 0:
         raise ValidationError(f"frame dimensions must be positive, got {w}x{h}")
     return w, h

@@ -57,7 +57,6 @@ from uniar.model import (
     next_token_logits,
     predict_heatmap,
     predict_rating,
-    tokenize_prompt,
 )
 from uniar.types import (
     FixationSet,
@@ -341,7 +340,7 @@ def test_criterion_7_prompt_conditioning(train_runs):
     with ad.no_grad():
         for out_type in ("scanpath", "saliency heatmap", "aesthetics score"):
             prompt = PromptSpec("natural image", out_type)
-            fused = encode_inputs(image, tokenize_prompt(prompt), params, cfg)
+            fused = encode_inputs(image, prompt, params, cfg)
             logits[out_type] = next_token_logits(fused, params, cfg)
     gaps = []
     pairs = (("scanpath", "saliency heatmap"),

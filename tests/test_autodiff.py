@@ -241,11 +241,20 @@ def test_embedding_gathers_rows():
     assert np.array_equal(out.data, table.data[[2, 0, 2]])
 
 
+def test_dominant_correct_logit_drives_loss_to_zero():
+    # a 1004-way vocabulary where the label's logit leads every other by 60
+    logits = np.zeros((1, 3, 1004))
+    logits[..., 5] = 60.0
+    ce = ad.cross_entropy_with_logits(ad.Tensor(logits), np.full((1, 3), 5))
+    assert ce.shape == (1, 3)
+    assert np.all(ce.data >= 0.0) and ce.data.max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # convolution reference paths
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
+@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 2)])
 def test_conv2d_matches_quadruple_loop_oracle(stride, pad):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 4, 2))
@@ -253,6 +262,20 @@ def test_conv2d_matches_quadruple_loop_oracle(stride, pad):
     got = ad.conv2d(ad.Tensor(x[None]), ad.Tensor(w), stride=stride, pad=pad).data[0]
     want = np.array(conv2d_naive(x.tolist(), w.tolist(), stride=stride, pad=pad))
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 2)])
+def test_conv2d_equals_package_loop_reference(stride, pad):
+    # a batch of two multi-channel images against the loop reference,
+    # which lives in tests/oracles as conv2d_naive (one image at a time)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 6, 6, 3))
+    w = rng.normal(size=(3, 3, 3, 4))
+    fast = ad.conv2d(ad.Tensor(x), ad.Tensor(w), stride=stride, pad=pad).data
+    slow = np.array([conv2d_naive(xi.tolist(), w.tolist(), stride=stride, pad=pad)
+                     for xi in x])
+    assert fast.shape == slow.shape
+    assert np.allclose(fast, slow, atol=1e-12)
 
 
 @pytest.mark.parametrize("stride,pad", [(2, 0), (2, 1), (1, 0)])
@@ -263,17 +286,6 @@ def test_conv2d_transpose_matches_scatter_oracle(stride, pad):
     got = ad.conv2d_transpose(ad.Tensor(x[None]), ad.Tensor(w), stride=stride, pad=pad).data[0]
     want = np.array(conv2d_transpose_naive(x.tolist(), w.tolist(), stride=stride, pad=pad))
     assert np.allclose(got, want, atol=1e-12)
-
-
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 2)])
-def test_conv2d_equals_package_loop_reference(stride, pad):
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 6, 6, 3))
-    w = rng.normal(size=(3, 3, 3, 4))
-    fast = ad.conv2d(ad.Tensor(x), ad.Tensor(w), stride=stride, pad=pad).data
-    slow = ad.conv2d_loops(x, w, stride=stride, pad=pad)
-    assert fast.shape == slow.shape
-    assert np.allclose(fast, slow, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

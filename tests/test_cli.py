@@ -22,7 +22,8 @@ from uniar.data import (
 )
 from uniar.errors import ValidationError
 from uniar.model import ModelConfig, write_config
-from uniar.types import PromptSpec, Scanpath, SegmentationMap
+from uniar.metrics import evaluate_heatmap
+from uniar.types import FixationSet, GrayMap, PromptSpec, Scanpath, SegmentationMap
 
 
 def read_csv(path):
@@ -244,6 +245,42 @@ class TestEvalHeatmap:
         assert run(["eval-heatmap", "--pred", str(heatmap_dirs / "pred"),
                     "--gt", str(gt2), "--fix", str(heatmap_dirs / "fix")]) == 2
 
+    def test_sauc_negatives_are_other_files_in_file_order(self, tmp_path):
+        # samples with one or two fixations against ~75 pooled negatives, so
+        # the seeded thinning to 10 per positive depends on the pool's order
+        rng = np.random.default_rng(4)
+        prompt = PromptSpec("natural image", "saliency heatmap")
+        for d in ("pred", "gt", "fix"):
+            (tmp_path / d).mkdir()
+        # id: (frame, observers, fixations each); 004 has no prediction
+        fix_ids = {"000": ((64, 64), 3, 9), "001": ((48, 32), 1, 1), "002": ((64, 64), 2, 12),
+                   "003": ((64, 64), 1, 2), "004": ((40, 40), 4, 6)}
+        maps = {}
+        for sid, ((w, h), observers, n) in fix_ids.items():
+            write_scanpaths(tmp_path / "fix" / f"{sid}.jsonl",
+                            [(Scanpath((w, h), rng.uniform(0, [w, h], size=(n, 2))), prompt)
+                             for _ in range(observers)])
+            if sid != "004":
+                maps[sid] = [GrayMap(w, h, rng.uniform(0.01, 1.0, size=(h, w)),
+                                     kind="unit-range") for _ in range(2)]
+                write_grid(tmp_path / "pred" / f"{sid}.grid", maps[sid][0])
+                write_grid(tmp_path / "gt" / f"{sid}.grid", maps[sid][1])
+        out = tmp_path / "scores.csv"
+        assert run(["eval-heatmap", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                    "--fix", str(tmp_path / "fix"), "--seed", "3", "--out", str(out)]) == 0
+        got = {r[0]: r[4] for r in read_csv(out)[1:]}
+
+        def pooled(sid):
+            paths = [p for p, _ in read_scanpaths(tmp_path / "fix" / f"{sid}.jsonl")]
+            return FixationSet(paths[0].frame, np.vstack([p.fixations for p in paths]))
+
+        for sid, (pred, gt) in maps.items():
+            others = [pooled(k) for k in fix_ids if k != sid]
+            neg = np.vstack([fs.points / np.array(fs.frame, dtype=np.float64) for fs in others])
+            negatives = FixationSet((gt.width, gt.height), neg * np.array([gt.width, gt.height]))
+            want = evaluate_heatmap(pred, gt, pooled(sid), negatives, seed=3).sauc
+            assert got[sid] == repr(want)
+
     def test_missing_gt_is_data_error(self, heatmap_dirs, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -299,6 +336,15 @@ class TestEvalScanpath:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "line 2, column 127" in err[0] and "int64" in err[0]
+
+    def test_non_finite_frame_is_data_error(self, dirs, capsys):
+        line = (dirs / "gt" / "1.jsonl").read_text()
+        (dirs / "gt" / "1.jsonl").write_text(line.replace('"frame": [64, 64]',
+                                                          '"frame": [1e400, 64]'))
+        assert run(["eval-scanpath", "--pred", str(dirs / "pred"),
+                    "--gt", str(dirs / "gt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "frame" in err[0]
 
     def test_missing_gt_id(self, dirs):
         (dirs / "gt" / "2.jsonl").unlink()
@@ -390,6 +436,15 @@ class TestTrain:
         assert run(["train", "--data", str(tmp_path / "d"), "--steps", "2",
                     "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("scores", ["id,score\n", "id,score\n000000,high\n"])
+    def test_train_on_bad_scores_is_data_error(self, tmp_path, capsys, scores):
+        save_handle(tmp_path / "d", gen_rating_task(0, 2, size=16))
+        (tmp_path / "d" / "scores.csv").write_text(scores)
+        assert run(["train", "--data", str(tmp_path / "d"), "--steps", "1",
+                    "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "line 2" in err[0]
 
 
 class TestPredict:

@@ -804,6 +804,13 @@ class TestHandleIO:
         back = load_handle(d)
         assert [s.target.score for s in back.samples] == [0.25, 0.75]
 
+    def test_header_only_scores_rejected(self, tmp_path):
+        d = tmp_path / "h"
+        save_handle(d, gen_rating_task(5, 2, size=16))
+        (d / "scores.csv").write_text("id,score\n")
+        with pytest.raises(ParseError, match="no rows below its header"):
+            load_handle(d)
+
     def test_grid_map_target_accepted(self, tmp_path):
         h = gen_saliency_task(6, 2)
         d = tmp_path / "h"

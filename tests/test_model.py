@@ -5,7 +5,7 @@ from uniar import autodiff as ad
 from uniar import model as M
 from uniar.codec import decode_robust, encode_target, quantize
 from uniar.errors import ParseError, ValidationError
-from uniar.types import GrayMap, ImageGrid, PromptSpec, Sample, Scanpath, TokenString
+from uniar.types import GrayMap, ImageGrid, PromptSpec, Sample, Scanpath
 
 CFG = M.ModelConfig()
 # small config for gradient sweeps: 20px image, 4px patches, 16-dim embed
@@ -139,20 +139,27 @@ def test_config_file_errors_name_the_line(tmp_path):
 # encoder
 
 
+def encode_ids(image, ids, params, cfg):
+    """_encode_batch over one image and raw prompt ids, every key visible."""
+    ids = np.asarray(ids, dtype=np.int64)[None]
+    fused, _ = M._encode_batch(image.pixels[None], ids, np.zeros((1, 1, 1, ids.shape[1])),
+                               params, cfg)
+    return fused
+
+
 def test_fused_length_is_patches_plus_prompt():
     params = M.init_params(CFG, seed=0)
     img = rand_image(np.random.default_rng(0), 64)
-    ids = M.tokenize_prompt(heat_prompt())
-    fused = M.encode_inputs(img, ids, params, CFG)
-    assert fused.shape == (64 + 6, 64)
+    fused = M.encode_inputs(img, heat_prompt(), params, CFG)
+    assert fused.shape == (1, 64 + 6, 64)
     assert np.all(np.isfinite(fused.data))
 
 
 def test_zero_image_still_encodes():
     params = M.init_params(CFG, seed=1)
     img = ImageGrid(64, 64, np.zeros((64, 64, 3)))
-    fused = M.encode_inputs(img, M.tokenize_prompt(heat_prompt()), params, CFG)
-    assert fused.shape == (70, 64)
+    fused = M.encode_inputs(img, heat_prompt(), params, CFG)
+    assert fused.shape == (1, 70, 64)
 
 
 def test_prompt_token_order_matters():
@@ -161,21 +168,27 @@ def test_prompt_token_order_matters():
     ids = M.tokenize_prompt(heat_prompt())
     swapped = list(ids)
     swapped[1], swapped[2] = swapped[2], swapped[1]
-    a = M.encode_inputs(img, ids, params, CFG)
-    b = M.encode_inputs(img, swapped, params, CFG)
+    a = encode_ids(img, ids, params, CFG)
+    b = encode_ids(img, swapped, params, CFG)
     assert np.abs(a.data - b.data).max() > 1e-9
 
 
 def test_encode_rejects_wrong_size_and_bad_ids():
     params = M.init_params(CFG, seed=0)
     with pytest.raises(ValidationError):
-        M.encode_inputs(rand_image(np.random.default_rng(0), 32),
-                        M.tokenize_prompt(heat_prompt()), params, CFG)
+        M.encode_inputs(rand_image(np.random.default_rng(0), 72), heat_prompt(), params, CFG)
     img = rand_image(np.random.default_rng(0), 64)
-    with pytest.raises(ValidationError):
-        M.encode_inputs(img, [0, 99], params, CFG)
-    with pytest.raises(ValidationError):
-        M.encode_inputs(img, [], params, CFG)
+    with pytest.raises(ValidationError, match="embedding id outside table"):
+        encode_ids(img, [0, len(M.DEFAULT_PROMPT_VOCAB)], params, CFG)
+
+
+def test_encode_inputs_pads_smaller_images():
+    params = M.init_params(CFG, seed=0)
+    img = rand_image(np.random.default_rng(0), 40)
+    canvas = ImageGrid(64, 64, M.pad_image(img, 64))
+    ids = M.tokenize_prompt(heat_prompt())
+    want = encode_ids(canvas, ids, params, CFG)
+    assert np.array_equal(M.encode_inputs(img, heat_prompt(), params, CFG).data, want.data)
 
 
 def test_pad_image_places_top_left():
@@ -195,8 +208,7 @@ def test_pad_image_places_top_left():
 def test_heatmap_head_dims_and_range():
     params = M.init_params(CFG, seed=4)
     img = rand_image(np.random.default_rng(5), 64)
-    fused = M.encode_inputs(img, M.tokenize_prompt(heat_prompt()), params, CFG)
-    out = M.heatmap_head(ad.narrow(fused, 0, 0, CFG.n_patches), params, CFG)
+    out = M.predict_heatmap(img, heat_prompt(), params, CFG)
     assert (out.width, out.height) == (64, 64)
     assert out.values.min() > 0.0 and out.values.max() < 1.0
     assert out.kind == "unit-range"
@@ -223,14 +235,6 @@ def test_rating_bounded_for_random_weights():
         assert 0.0 <= r.score <= 1.0
 
 
-def test_head_shape_validation():
-    params = M.init_params(CFG, seed=0)
-    with pytest.raises(ValidationError):
-        M.heatmap_head(np.zeros((10, 64)), params, CFG)
-    with pytest.raises(ValidationError):
-        M.rating_head(np.zeros((64, 32)), params, CFG)
-
-
 def test_predict_heatmap_crops_to_input_dims():
     params = M.init_params(CFG, seed=0)
     img = ImageGrid(40, 30, np.random.default_rng(2).uniform(size=(30, 40, 3)))
@@ -250,49 +254,39 @@ def test_predict_prompt_kind_checked():
 
 
 # ---------------------------------------------------------------------------
-# decoder: teacher loss
+# decoder: teacher-forced loss of a one-sample scanpath batch
 
 
 def test_uniform_logits_loss_is_log_vocab():
     params = zeroed(M.init_params(CFG, seed=0))
     img = rand_image(np.random.default_rng(1), 64)
-    fused = M.encode_inputs(img, M.tokenize_prompt(path_prompt()), params, CFG)
-    target = encode_target(quantize(Scanpath(frame=(64, 64), fixations=[[10, 10], [50, 40]])))
-    loss = M.scanpath_teacher_loss(fused, target, params, CFG)
+    target = Scanpath(frame=(64, 64), fixations=[[10, 10], [50, 40]])
+    loss = M._batch_loss([Sample(img, path_prompt(), target)], params, CFG)
     assert abs(loss.item() - np.log(M.VOCAB_SIZE)) < 1e-12
-
-
-def test_dominant_correct_logit_drives_loss_to_zero():
-    params = zeroed(M.init_params(CFG, seed=0))
-    params["out.b"].data[M.token_id("5")] = 60.0
-    img = rand_image(np.random.default_rng(1), 64)
-    fused = M.encode_inputs(img, M.tokenize_prompt(path_prompt()), params, CFG)
-    loss = M.scanpath_teacher_loss(fused, TokenString(("5", "5", "5")), params, CFG)
-    assert loss.item() < 1e-12
 
 
 def test_teacher_loss_rejects_bad_targets():
     params = M.init_params(CFG, seed=0)
     img = rand_image(np.random.default_rng(1), 64)
-    fused = M.encode_inputs(img, M.tokenize_prompt(path_prompt()), params, CFG)
-    with pytest.raises(ValidationError):
-        M.scanpath_teacher_loss(fused, TokenString(("007",)), params, CFG)
-    long = TokenString(tuple(str(i % 10) for i in range(CFG.max_output_tokens + 1)))
-    with pytest.raises(ValidationError):
-        M.scanpath_teacher_loss(fused, long, params, CFG)
+    # 3n + 1 tokens for n fixations: 21 fill the 64-token budget, 22 overflow it
+    pts = np.linspace(1.0, 60.0, 44).reshape(22, 2)
+    M._batch_loss([Sample(img, path_prompt(), Scanpath((64, 64), pts[:21]))], params, CFG)
+    with pytest.raises(ValidationError, match="needs 67 tokens, limit 64"):
+        M._batch_loss([Sample(img, path_prompt(), Scanpath((64, 64), pts))], params, CFG)
 
 
 def test_teacher_loss_matches_numpy_replay():
-    """Step-by-step reimplementation of the full forward pass with raw
-    numpy, no engine, compared to 1e-10."""
+    """Step-by-step reimplementation of the training forward pass on a
+    one-sample scanpath batch with raw numpy, no engine, compared to
+    1e-10."""
     cfg = SMALL
     params = M.init_params(cfg, seed=11)
     P = {k: t.data for k, t in params.items()}
     rng = np.random.default_rng(12)
     image = rng.uniform(size=(cfg.image_size, cfg.image_size, 3))
     prompt_ids = np.array(M.tokenize_prompt(path_prompt()), dtype=np.int64)
-    target = encode_target(quantize(Scanpath(frame=(20, 20), fixations=[[3, 4], [10, 15]])))
-    target_ids = M.target_token_ids(target)
+    path = Scanpath(frame=(20, 20), fixations=[[3, 4], [10, 15]])
+    target_ids = M.target_token_ids(encode_target(quantize(path)))
 
     D, g, p, heads = cfg.embed_dim, cfg.grid_size, cfg.patch_size, cfg.heads
 
@@ -349,8 +343,7 @@ def test_teacher_loss_matches_numpy_replay():
     want = (lse - sh[np.arange(L), target_ids]).mean()
 
     img = ImageGrid(cfg.image_size, cfg.image_size, image)
-    fused = M.encode_inputs(img, prompt_ids, params, cfg)
-    got = M.scanpath_teacher_loss(fused, target, params, cfg).item()
+    got = M._batch_loss([Sample(img, path_prompt(), path)], params, cfg).item()
     assert abs(got - want) < 1e-10
 
 
@@ -401,8 +394,8 @@ def _decode_case(i):
     if i % 4 == 3:
         params["out.b"].data[M.END_ID] += 3.0
     rng = np.random.default_rng(1000 + i)
-    prompt = M.tokenize_prompt(path_prompt("brightest" if i % 2 else None))
-    fused = M.encode_inputs(rng.uniform(size=(20, 20, 3)), prompt, params, DECODE)
+    img = ImageGrid(20, 20, rng.uniform(size=(20, 20, 3)))
+    fused = M.encode_inputs(img, path_prompt("brightest" if i % 2 else None), params, DECODE)
     return fused, params, (1, 9, 64)[i % 3]
 
 
@@ -471,7 +464,7 @@ def test_prompt_conditioning_changes_logits():
     logits = {}
     for ot in ("saliency heatmap", "scanpath"):
         prompt = PromptSpec("natural image", ot)
-        fused = M.encode_inputs(img, M.tokenize_prompt(prompt), params, CFG)
+        fused = M.encode_inputs(img, prompt, params, CFG)
         logits[ot] = M.next_token_logits(fused, params, CFG)
     diff = np.abs(logits["saliency heatmap"] - logits["scanpath"]).max()
     assert diff > 1e-9

@@ -127,6 +127,13 @@ class TestFixationsAndScanpaths:
         with pytest.raises(ValidationError):
             Scanpath(frame=(10, 10), fixations=[[np.nan, 0.0]])
 
+    @pytest.mark.parametrize("frame", [(np.nan, 10), (10, np.inf), (1e400, 10), ("ten", 10)])
+    def test_non_numeric_or_non_finite_frame_rejected(self, frame):
+        with pytest.raises(ValidationError, match="frame"):
+            Scanpath(frame=frame, fixations=[[1.0, 1.0]])
+        with pytest.raises(ValidationError, match="frame"):
+            FixationSet(frame=frame)
+
 
 class TestBinnedScanpath:
     def test_range(self):
