@@ -13,7 +13,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -24,21 +23,25 @@ import numpy as np
 
 from .codec import decode_robust, encode_target, quantize
 from .data import (
+    MAP_EXTS,
     MixtureConfig,
     gen_rating_task,
     gen_saliency_task,
     gen_scanpath_task,
+    list_files,
     load_handle,
     mixture_next,
     mixture_start,
     read_grid,
-    read_pgm,
+    read_map,
     read_ppm,
     read_ratings,
+    read_scanpath,
     read_scanpaths,
     write_pgm,
     write_ppm,
     write_scanpaths,
+    write_table,
 )
 from .errors import NumericError, UniarError, ValidationError
 from .metrics import (
@@ -66,7 +69,6 @@ from .model import (
 )
 from .types import (
     FixationSet,
-    GrayMap,
     ImageGrid,
     PromptSpec,
     Scanpath,
@@ -176,12 +178,13 @@ def _mean_row(rows):
     return "mean", means
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for label, values in rows:
-            writer.writerow([label] + ["" if v is None else repr(v) for v in values])
+def _report(rows, headers, out) -> None:
+    """Print the table and, when ``out`` is given, write the rows there
+    as CSV under the headers without their direction suffix."""
+    if out:
+        write_table(out, ("id",) + tuple(h.rstrip("+-") for h in headers),
+                    ([label, *values] for label, values in rows))
+    print(report_table(rows, headers))
 
 
 def _pmap(fn, tasks, jobs):
@@ -195,40 +198,6 @@ def _pmap(fn, tasks, jobs):
 
 # ---------------------------------------------------------------------------
 # shared directory plumbing
-
-def _map_files(dirpath):
-    """Stem -> path for .grid/.pgm files; the lossless .grid wins when
-    both exist."""
-    if not os.path.isdir(dirpath):
-        raise ValidationError(f"not a directory: {dirpath}")
-    found = {}
-    for f in sorted(os.listdir(dirpath)):
-        stem, ext = os.path.splitext(f)
-        if ext in (".grid", ".pgm"):
-            found.setdefault(stem, {})[ext] = os.path.join(dirpath, f)
-    return {stem: d.get(".grid", d.get(".pgm")) for stem, d in found.items()}
-
-
-def _read_map(path) -> GrayMap:
-    m = read_grid(path) if path.endswith(".grid") else read_pgm(path)
-    if not isinstance(m, GrayMap):
-        raise ValidationError(f"{path}: expected a float map, found an int grid")
-    return m
-
-
-def _path_files(dirpath):
-    if not os.path.isdir(dirpath):
-        raise ValidationError(f"not a directory: {dirpath}")
-    return {os.path.splitext(f)[0]: os.path.join(dirpath, f)
-            for f in sorted(os.listdir(dirpath)) if f.endswith(".jsonl")}
-
-
-def _read_one_scanpath(path) -> Scanpath:
-    entries = read_scanpaths(path)
-    if len(entries) != 1:
-        raise ValidationError(f"{path}: expected exactly one scanpath, found {len(entries)}")
-    return entries[0][0]
-
 
 def _pooled_fixations(path) -> FixationSet:
     """All fixations of all observers in one file, order preserved."""
@@ -245,15 +214,14 @@ def _pooled_fixations(path) -> FixationSet:
 # ---------------------------------------------------------------------------
 # eval-heatmap
 
-HEATMAP_COLUMNS = ("cc", "kld", "auc_judd", "sauc", "nss", "sim", "rmse", "r2")
 HEATMAP_HEADERS = ("cc+", "kld-", "auc_judd+", "sauc+", "nss+", "sim+", "rmse-", "r2+")
 
 
 def _heatmap_one(task):
     sid, pred_path, gt_path, fixations, neg_norm, seed, sigma = task
-    pred = _read_map(pred_path)
+    pred = read_map(pred_path)
     if gt_path is not None:
-        gt = _read_map(gt_path)
+        gt = read_map(gt_path)
     else:
         if fixations is None or sigma is None:
             raise ValidationError(
@@ -270,12 +238,12 @@ def _heatmap_one(task):
 
 
 def _cmd_eval_heatmap(args) -> None:
-    preds = _map_files(args.pred)
-    gts = _map_files(args.gt)
+    preds = list_files(args.pred, MAP_EXTS)
+    gts = list_files(args.gt, MAP_EXTS)
     if not preds:
         raise ValidationError(f"{args.pred}: no .pgm or .grid maps")
     fixes = {sid: _pooled_fixations(path)
-             for sid, path in (_path_files(args.fix) if args.fix else {}).items()}
+             for sid, path in (list_files(args.fix, (".jsonl",)) if args.fix else {}).items()}
     # every file's points in frame-normalized units, pooled in file order;
     # a sample's negatives are the pool without its own rows
     pool, own, start = [np.zeros((0, 2))], {}, 0
@@ -295,24 +263,20 @@ def _cmd_eval_heatmap(args) -> None:
     log.info("eval-heatmap: %d samples, jobs=%d", len(tasks), args.jobs)
     rows = _pmap(_heatmap_one, tasks, args.jobs)
     rows.append(_mean_row(rows))
-    if args.out:
-        _write_csv(args.out, ("id",) + HEATMAP_COLUMNS, rows)
-    print(report_table(rows, HEATMAP_HEADERS))
+    _report(rows, HEATMAP_HEADERS, args.out)
 
 
 # ---------------------------------------------------------------------------
 # eval-scanpath
 
-SCANPATH_COLUMNS = ("seq_score", "semss", "semfed",
-                    "mm_shape", "mm_direction", "mm_length", "mm_position")
 SCANPATH_HEADERS = ("seq_score+", "semss+", "semfed-",
                     "mm_shape+", "mm_direction+", "mm_length+", "mm_position+")
 
 
 def _scanpath_one(task):
     sid, pred_path, gt_path, seg_path, bandwidth = task
-    pred = _read_one_scanpath(pred_path)
-    gt = _read_one_scanpath(gt_path)
+    pred, _ = read_scanpath(pred_path)
+    gt, _ = read_scanpath(gt_path)
     clusters = meanshift_clusters(FixationSet(gt.frame, gt.fixations), bandwidth=bandwidth)
     seq = sequence_score(pred, gt, clusters)
     ss = fed = None
@@ -327,11 +291,11 @@ def _scanpath_one(task):
 
 
 def _cmd_eval_scanpath(args) -> None:
-    preds = _path_files(args.pred)
-    gts = _path_files(args.gt)
+    preds = list_files(args.pred, (".jsonl",))
+    gts = list_files(args.gt, (".jsonl",))
     if not preds:
         raise ValidationError(f"{args.pred}: no .jsonl scanpaths")
-    segs = _map_files(args.seg) if args.seg else {}
+    segs = list_files(args.seg, MAP_EXTS) if args.seg else {}
     tasks = []
     for sid in sorted(preds):
         if sid not in gts:
@@ -340,9 +304,7 @@ def _cmd_eval_scanpath(args) -> None:
     log.info("eval-scanpath: %d samples, jobs=%d", len(tasks), args.jobs)
     rows = _pmap(_scanpath_one, tasks, args.jobs)
     rows.append(_mean_row(rows))
-    if args.out:
-        _write_csv(args.out, ("id",) + SCANPATH_COLUMNS, rows)
-    print(report_table(rows, SCANPATH_HEADERS))
+    _report(rows, SCANPATH_HEADERS, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +316,8 @@ def _cmd_eval_rating(args) -> None:
         raise ValidationError(f"{args.pairs}: no rating pairs")
     pred = [p for _, p, _ in pairs]
     obs = [o for _, _, o in pairs]
-    rows = [(os.path.basename(args.pairs), [srcc(pred, obs), plcc(pred, obs)])]
-    if args.out:
-        _write_csv(args.out, ("id", "srcc", "plcc"), rows)
-    print(report_table(rows, ("srcc+", "plcc+")))
+    _report([(os.path.basename(args.pairs), [srcc(pred, obs), plcc(pred, obs)])],
+            ("srcc+", "plcc+"), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +372,7 @@ def _cmd_train(args) -> None:
     os.makedirs(args.out, exist_ok=True)
     save_params(os.path.join(args.out, "model.ckpt"), params)
     write_config(os.path.join(args.out, "config.txt"), cfg)
-    with open(os.path.join(args.out, "train_log.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("step", "loss", "valid"))
-        for step, loss, valid in rows:
-            writer.writerow((step, repr(loss), "" if valid is None else valid))
+    write_table(os.path.join(args.out, "train_log.csv"), ("step", "loss", "valid"), rows)
     print(f"step {rows[-1][0]} loss {rows[-1][1]:.6f}")
 
 
@@ -518,9 +473,9 @@ def _cmd_mixture_check(args) -> None:
     for _ in range(args.draws):
         s, rng = mixture_next(mix, rng)
         counts[owner[id(s)]] += 1
-    rows = [(f"{k}:{h.name}", [len(h.samples), c])
-            for k, (h, c) in enumerate(zip(handles, counts))]
-    _write_csv(args.out, ("handle", "size", "draws"), rows)
+    write_table(args.out, ("handle", "size", "draws"),
+                ((f"{k}:{h.name}", len(h.samples), c)
+                 for k, (h, c) in enumerate(zip(handles, counts))))
     log.info("mixture-check: %d draws over %d handles -> %s",
              args.draws, len(handles), args.out)
     print(f"{args.draws} draws over {len(handles)} handles, "

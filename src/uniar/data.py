@@ -9,8 +9,11 @@ whole set, and a dataset of n samples is a prefix of the same seed's
 dataset of n + k.
 
 Formats: text grids (`UARGRID` header), binary PGM (P5, 16-bit) for
-maps, binary PPM (P6) for images, JSON lines for scanpaths, CSV for
-rating pairs. All writers are deterministic byte-for-byte.
+maps, binary PPM (P6) for images, JSON lines for scanpaths, CSV tables
+for rating pairs, scores and reports, `key = value` text for handle
+metadata and model configs. This module is the only one that knows a
+file format or a directory layout; the CLI and the model read and write
+through it. All writers are deterministic byte-for-byte.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -145,7 +149,7 @@ def contrast_score(image) -> float:
     return float(min(1.0, 2.0 * gray.std()))
 
 
-def _check_gen_args(seed, n, size, input_type):
+def _check_gen_args(n, input_type):
     if n < 1:
         raise ValidationError("need at least one sample")
     if input_type not in INPUT_TYPES:
@@ -161,7 +165,7 @@ def gen_saliency_task(seed: int, n: int, size: int = 64,
     only the prompt tag changes, which is exactly how a transfer
     scenario is expressed.
     """
-    _check_gen_args(seed, n, size, input_type)
+    _check_gen_args(n, input_type)
     if target_kind(output_type) != "heatmap":
         raise ValidationError(f"{output_type!r} is not a heatmap output type")
     prompt = PromptSpec(input_type, output_type)
@@ -182,7 +186,7 @@ def gen_scanpath_task(seed: int, n: int, size: int = 64,
     "brightest" and fixate only the brightest center, mimicking
     target-driven search.
     """
-    _check_gen_args(seed, n, size, input_type)
+    _check_gen_args(n, input_type)
     samples = []
     for i in range(n):
         scene = blob_scene(sample_rng(seed, "scanpath", i), size)
@@ -201,7 +205,7 @@ def gen_scanpath_task(seed: int, n: int, size: int = 64,
 def gen_rating_task(seed: int, n: int, size: int = 64,
                     input_type: str = "natural image") -> DatasetHandle:
     """Noise images scored by clamped RMS contrast."""
-    _check_gen_args(seed, n, size, input_type)
+    _check_gen_args(n, input_type)
     prompt = PromptSpec(input_type, "aesthetics score")
     samples = []
     for i in range(n):
@@ -326,6 +330,13 @@ def _open_utf8(path, newline=None):
         raw = fh.read()
     _decode_utf8(raw, lambda text: io.StringIO(text, newline=newline).readlines())
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=newline)
+
+
+def write_key_values(path, pairs) -> None:
+    """One `key = value` line per (key, value) pair, in order; the
+    inverse of read_key_values."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{key} = {value}\n" for key, value in pairs))
 
 
 def read_key_values(path, keys, kind: str):
@@ -491,6 +502,33 @@ def read_ppm(path) -> ImageGrid:
 
 
 # ---------------------------------------------------------------------------
+# map and scanpath directories
+
+MAP_EXTS = (".grid", ".pgm")  # the lossless grid wins when a map has both
+
+
+def list_files(dirpath, exts) -> dict:
+    """Stem -> path for the files in ``dirpath`` whose extension is in
+    ``exts``, in file name order; when a stem has several, the first
+    extension in ``exts`` wins."""
+    if not os.path.isdir(dirpath):
+        raise ValidationError(f"not a directory: {dirpath}")
+    split = [os.path.splitext(f) for f in sorted(os.listdir(dirpath))]
+    # the last extension goes in first, so earlier ones overwrite it
+    return {stem: os.path.join(dirpath, stem + ext)
+            for want in reversed(exts) for stem, ext in split if ext == want}
+
+
+def read_map(path) -> GrayMap:
+    """A float map from a `.grid` (by extension) or a PGM file; an int
+    grid is rejected."""
+    m = read_grid(path) if os.path.splitext(path)[1] == ".grid" else read_pgm(path)
+    if not isinstance(m, GrayMap):
+        raise ValidationError(f"{path}: expected a float map, found an int grid")
+    return m
+
+
+# ---------------------------------------------------------------------------
 # scanpath JSON lines
 
 def write_scanpaths(path, items) -> None:
@@ -545,6 +583,58 @@ def read_scanpaths(path):
     return out
 
 
+def read_scanpath(path):
+    """The one (Scanpath, PromptSpec) of a file that must hold exactly
+    one scanpath line."""
+    entries = read_scanpaths(path)
+    if len(entries) != 1:
+        raise ValidationError(f"{path}: expected exactly one scanpath, found {len(entries)}")
+    return entries[0]
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+
+def write_table(path, header, rows) -> None:
+    """A CSV table: the header, then one line per row, with minimal
+    quoting and `\\n` line ends. The csv module writes floats with
+    repr(), so at full precision, and None as an empty cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path, header, kind: str):
+    """Yield (id, values) for each row of a CSV table below its header,
+    in file order: the first field as text, the others as finite floats.
+    An empty file, another header, a row whose field count differs from
+    the header's, a bad number or bytes the csv module rejects (a field
+    over its size limit) raise ParseError at the first such line;
+    ``kind`` names the file in the messages."""
+    with _open_utf8(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise ParseError(f"empty {kind} file", line=1)
+            if tuple(first) != header:
+                raise ParseError(f"header must be {','.join(header)}", line=1)
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                                     line=lineno)
+                try:
+                    values = [float(v) for v in row[1:]]
+                except ValueError:
+                    raise ParseError(f"bad numeric field in {row!r}", line=lineno)
+                if not all(map(math.isfinite, values)):
+                    raise ParseError(f"{kind} must be finite", line=lineno)
+                yield row[0], values
+        except csv.Error as e:
+            raise ParseError(f"bad CSV: {e}", line=reader.line_num)
+
+
 # ---------------------------------------------------------------------------
 # rating CSV
 
@@ -554,36 +644,13 @@ RATING_HEADER = ("id", "predicted", "observed")
 def write_ratings(path, rows) -> None:
     """Rating pairs under the header `id,predicted,observed`, floats at
     full precision, rows in input order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RATING_HEADER)
-        for rid, pred, obs in rows:
-            writer.writerow([rid, repr(float(pred)), repr(float(obs))])
+    write_table(path, RATING_HEADER, ((rid, float(pred), float(obs)) for rid, pred, obs in rows))
 
 
 def read_ratings(path):
     """Inverse of write_ratings; returns a list of (id, predicted,
     observed) with floats parsed and checked finite."""
-    with _open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty ratings file", line=1)
-        if tuple(header) != RATING_HEADER:
-            raise ParseError(f"header must be {','.join(RATING_HEADER)}", line=1)
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-            try:
-                pred, obs = float(row[1]), float(row[2])
-            except ValueError:
-                raise ParseError(f"bad numeric field in {row!r}", line=lineno)
-            if not (np.isfinite(pred) and np.isfinite(obs)):
-                raise ParseError("ratings must be finite", line=lineno)
-            out.append((row[0], pred, obs))
-    return out
+    return [(rid, pred, obs) for rid, (pred, obs) in read_table(path, RATING_HEADER, "ratings")]
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +674,8 @@ def save_handle(dirpath, handle: DatasetHandle) -> None:
     and numeric order agree."""
     os.makedirs(os.path.join(dirpath, "images"), exist_ok=True)
     kind = target_kind(handle.output_type)
-    with open(os.path.join(dirpath, "meta.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"name = {handle.name}\ninput_type = {handle.input_type}\n"
-                 f"output_type = {handle.output_type}\n")
+    write_key_values(os.path.join(dirpath, "meta.txt"),
+                     [(key, getattr(handle, key)) for key in _META_KEYS])
     if kind in ("heatmap", "scanpath"):
         os.makedirs(os.path.join(dirpath, "maps" if kind == "heatmap" else "paths"),
                     exist_ok=True)
@@ -625,30 +691,11 @@ def save_handle(dirpath, handle: DatasetHandle) -> None:
         else:
             score_rows.append((sid, sample.target.score))
     if kind == "score":
-        with open(os.path.join(dirpath, "scores.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("id", "score"))
-            for sid, score in score_rows:
-                writer.writerow([sid, repr(score)])
+        write_table(os.path.join(dirpath, "scores.csv"), ("id", "score"), score_rows)
 
 
 def _read_scores(path):
-    with _open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty scores file", line=1)
-        if tuple(header) != ("id", "score"):
-            raise ParseError("header must be id,score", line=1)
-        scores = {}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
-            try:
-                scores[row[0]] = float(row[1])
-            except ValueError:
-                raise ParseError(f"bad score {row[1]!r}", line=lineno)
+    scores = {sid: score for sid, (score,) in read_table(path, ("id", "score"), "scores")}
     if not scores:
         raise ParseError("scores.csv has no rows below its header", line=2)
     return scores
@@ -658,8 +705,6 @@ def _normalize_scores(scores: dict) -> dict:
     """Scores already inside [0, 1] pass through; any other scale is
     min-max mapped onto [0, 1], a constant column landing on 0.5."""
     vals = np.asarray(list(scores.values()), dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError("scores must be finite")
     lo, hi = float(vals.min()), float(vals.max())
     if 0.0 <= lo and hi <= 1.0:
         return dict(scores)
@@ -675,47 +720,27 @@ def load_handle(dirpath) -> DatasetHandle:
     normalized at ingestion."""
     meta = _read_meta(os.path.join(dirpath, "meta.txt"))
     kind = target_kind(meta["output_type"])
-    image_dir = os.path.join(dirpath, "images")
-    if not os.path.isdir(image_dir):
-        raise ValidationError(f"{dirpath}: missing images/ directory")
-    stems = sorted(os.path.splitext(f)[0] for f in os.listdir(image_dir)
-                   if f.endswith(".ppm"))
-    if not stems:
+    images = list_files(os.path.join(dirpath, "images"), (".ppm",))
+    if not images:
         raise ValidationError(f"{dirpath}: no images found")
-    scores = None
-    if kind == "score":
-        scores = _normalize_scores(_read_scores(os.path.join(dirpath, "scores.csv")))
+    if kind == "heatmap":
+        targets = list_files(os.path.join(dirpath, "maps"), MAP_EXTS)
+    elif kind == "scanpath":
+        targets = list_files(os.path.join(dirpath, "paths"), (".jsonl",))
+    else:
+        targets = _normalize_scores(_read_scores(os.path.join(dirpath, "scores.csv")))
     samples = []
-    for sid in stems:
-        image = read_ppm(os.path.join(image_dir, sid + ".ppm"))
+    for sid in sorted(images):
+        image = read_ppm(images[sid])
+        if sid not in targets:
+            raise ValidationError(f"{dirpath}: no {kind} target for id {sid!r}")
+        prompt = PromptSpec(meta["input_type"], meta["output_type"])
         if kind == "heatmap":
-            prompt = PromptSpec(meta["input_type"], meta["output_type"])
-            grid_path = os.path.join(dirpath, "maps", sid + ".grid")
-            pgm_path = os.path.join(dirpath, "maps", sid + ".pgm")
-            if os.path.exists(grid_path):
-                target = read_grid(grid_path)
-                if not isinstance(target, GrayMap):
-                    raise ValidationError(f"{grid_path}: heatmap target must be a float grid")
-            elif os.path.exists(pgm_path):
-                target = read_pgm(pgm_path)
-            else:
-                raise ValidationError(f"{dirpath}: no map target for id {sid!r}")
+            target = read_map(targets[sid])
         elif kind == "scanpath":
-            path_file = os.path.join(dirpath, "paths", sid + ".jsonl")
-            if not os.path.exists(path_file):
-                raise ValidationError(f"{dirpath}: no path target for id {sid!r}")
-            entries = read_scanpaths(path_file)
-            if len(entries) != 1:
-                raise ValidationError(f"{dirpath}: path file for {sid!r} must hold one line")
-            target, prompt = entries[0]
-            if (prompt.input_type, prompt.output_type) != (meta["input_type"],
-                                                           meta["output_type"]):
-                raise ValidationError(f"{dirpath}: prompt for {sid!r} disagrees with meta.txt")
+            target, prompt = read_scanpath(targets[sid])
         else:
-            prompt = PromptSpec(meta["input_type"], meta["output_type"])
-            if sid not in scores:
-                raise ValidationError(f"{dirpath}: no score for id {sid!r}")
-            target = RatingSample(scores[sid])
+            target = RatingSample(targets[sid])
         samples.append(Sample(image, prompt, target))
     return DatasetHandle(meta["name"], meta["input_type"], meta["output_type"],
                          tuple(samples))

@@ -30,8 +30,8 @@ class MeanShiftResult:
     bandwidth: float
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", _freeze(np.asarray(self.centers, dtype=np.float64)))
-        object.__setattr__(self, "labels", _freeze(np.asarray(self.labels, dtype=np.int64)))
+        object.__setattr__(self, "centers", _freeze(np.array(self.centers, dtype=np.float64)))
+        object.__setattr__(self, "labels", _freeze(np.array(self.labels, dtype=np.int64)))
 
     @property
     def n_clusters(self) -> int:

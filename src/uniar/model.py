@@ -30,7 +30,7 @@ from .codec import (
     encode_target,
     quantize,
 )
-from .data import read_key_values
+from .data import read_key_values, write_key_values
 from .errors import ParseError, ValidationError
 from .types import (
     INPUT_TYPES,
@@ -174,10 +174,8 @@ _CONFIG_INT_FIELDS = ("image_size", "patch_size", "embed_dim", "encoder_layers",
 
 def write_config(path, cfg: ModelConfig) -> None:
     """Plain-text `key = value` lines, one per field."""
-    lines = [f"{name} = {getattr(cfg, name)}" for name in _CONFIG_INT_FIELDS]
-    lines.append("loss_weights = " + ",".join(repr(w) for w in cfg.loss_weights))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_key_values(path, [(name, getattr(cfg, name)) for name in _CONFIG_INT_FIELDS]
+                     + [("loss_weights", ",".join(repr(w) for w in cfg.loss_weights))])
 
 
 def read_config(path) -> ModelConfig:

@@ -1,7 +1,8 @@
 """Core value types: images, maps, fixations, scanpaths, tokens, prompts, samples.
 
-All array-backed types copy their input, coerce dtype, validate, and
-freeze the buffer (read-only), so instances behave as immutable values.
+All array-backed types copy their input once while coercing its dtype,
+validate, and freeze that copy (read-only), so instances behave as
+immutable values.
 Coordinates are continuous pixel units with x in [0, width) and y in
 [0, height); pixel lookups round half away from zero and clip to the
 frame.
@@ -49,9 +50,9 @@ def target_kind(output_type: str) -> str:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
+    """Mark an array the caller owns, a private copy, read-only."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -95,7 +96,7 @@ class GrayMap:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"map dimensions must be positive, got {self.width}x{self.height}")
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.ndim == 1:
             if v.size != self.width * self.height:
                 raise ValidationError(
@@ -157,10 +158,13 @@ class SegmentationMap:
 def _check_frame(frame) -> tuple[int, int]:
     try:
         w, h = frame
-        w, h = int(w), int(h)
+        whole = int(w), int(h)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"frame must be a (width, height) pair of finite numbers, "
+        whole = None
+    if whole is None or whole != (w, h):  # a fraction is rejected, not truncated
+        raise ValidationError(f"frame must be a (width, height) pair of whole numbers, "
                               f"got {frame!r}")
+    w, h = whole
     if w <= 0 or h <= 0:
         raise ValidationError(f"frame dimensions must be positive, got {w}x{h}")
     return w, h
@@ -168,7 +172,7 @@ def _check_frame(frame) -> tuple[int, int]:
 
 def _check_points(points, frame, allow_empty: bool):
     w, h = frame
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.array(points, dtype=np.float64)
     if pts.size == 0:
         pts = pts.reshape(0, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -286,7 +290,7 @@ class ImageGrid:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"image dimensions must be positive, got {self.width}x{self.height}")
-        p = np.asarray(self.pixels, dtype=np.float64)
+        p = np.array(self.pixels, dtype=np.float64)
         if p.shape != (self.height, self.width, 3):
             raise ValidationError(f"image shape {p.shape} does not match ({self.height}, {self.width}, 3)")
         _check_finite(p, "image")

@@ -10,6 +10,7 @@ from uniar.cli import render_overlay, report_table, run
 from uniar.data import (
     gen_rating_task,
     gen_saliency_task,
+    gen_scanpath_task,
     read_pgm,
     read_ppm,
     read_scanpaths,
@@ -346,6 +347,16 @@ class TestEvalScanpath:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "frame" in err[0]
 
+    def test_fractional_frame_is_data_error(self, dirs, capsys):
+        line = (dirs / "gt" / "1.jsonl").read_text()
+        (dirs / "gt" / "1.jsonl").write_text(line.replace('"frame": [64, 64]',
+                                                          '"frame": [64.9, 64]'))
+        assert run(["eval-scanpath", "--pred", str(dirs / "pred"),
+                    "--gt", str(dirs / "gt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "line 1" in err[0] and "whole numbers" in err[0]
+
     def test_missing_gt_id(self, dirs):
         (dirs / "gt" / "2.jsonl").unlink()
         assert run(["eval-scanpath", "--pred", str(dirs / "pred"),
@@ -369,6 +380,13 @@ class TestEvalRating:
         assert run(["eval-rating", "--pairs", str(pairs)]) == 0
         assert "*1.000  *1.000" in capsys.readouterr().out
 
+    def test_field_over_the_csv_size_limit_is_data_error(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("id,predicted,observed\n" + "a" * 200_000 + ",0.5,0.25\n")
+        assert run(["eval-rating", "--pairs", str(pairs)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 2") and "field limit" in err[0]
+
 
 # ---------------------------------------------------------------------------
 # train / predict
@@ -389,6 +407,26 @@ def trained(tmp_path_factory):
                 "--config", str(cfg_path), "--out", str(out)])
     assert code == 0
     return out
+
+
+def _no_maps_dir(d):
+    for f in (d / "maps").iterdir():
+        f.unlink()
+    (d / "maps").rmdir()
+
+
+def _int_grid_map(d):
+    write_grid(d / "maps" / "000001.grid", SegmentationMap(64, 64, np.zeros((64, 64), int)))
+
+
+def _two_line_path(d):
+    text = (d / "paths" / "000000.jsonl").read_text()
+    (d / "paths" / "000000.jsonl").write_text(text + text)
+
+
+def _prompt_disagrees_with_meta(d):
+    text = (d / "paths" / "000001.jsonl").read_text()
+    (d / "paths" / "000001.jsonl").write_text(text.replace("natural image", "webpage"))
 
 
 class TestTrain:
@@ -445,6 +483,22 @@ class TestTrain:
                     "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "line 2" in err[0]
+
+    @pytest.mark.parametrize("task,damage,message", [
+        (gen_saliency_task, _no_maps_dir, "not a directory"),
+        (gen_saliency_task, _int_grid_map, "expected a float map"),
+        (gen_scanpath_task, _two_line_path, "exactly one scanpath, found 2"),
+        (gen_scanpath_task, _prompt_disagrees_with_meta, "does not match handle"),
+    ], ids=["no-maps-dir", "int-grid-map", "two-line-path", "prompt-vs-meta"])
+    def test_train_on_malformed_handle_is_data_error(self, tmp_path, capsys, task, damage,
+                                                     message):
+        save_handle(tmp_path / "d", task(0, 2))
+        damage(tmp_path / "d")
+        assert run(["train", "--data", str(tmp_path / "d"), "--steps", "1",
+                    "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not (tmp_path / "run").exists()
 
 
 class TestPredict:

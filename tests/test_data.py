@@ -31,8 +31,8 @@ from uniar.data import (
     write_ratings,
     write_scanpaths,
 )
-from uniar.errors import ParseError, ValidationError
-from uniar.model import read_config
+from uniar.errors import ParseError, UniarError, ValidationError
+from uniar.model import ModelConfig, read_config, write_config
 from uniar.types import (
     DatasetHandle,
     GrayMap,
@@ -459,9 +459,17 @@ def _grid_bytes(draw):
         lines.append(row + draw(st.sampled_from(["", " ", "  \t"])))
     lines += draw(st.lists(st.sampled_from(["", "   ", "0 0"]), max_size=2))
     raw = (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode("utf-8")
-    byte = st.one_of(st.sampled_from(b" \t\r\n.-+e_x019"), st.integers(0, 255))
-    for op, pos, b in draw(st.lists(st.tuples(st.sampled_from(["set", "ins", "del", "cut"]),
-                                              st.integers(0, 10**6), byte), max_size=3)):
+    return _mutate(raw, draw(_EDITS))
+
+
+# up to three byte edits: set, insert or delete one byte, or cut the file
+_BYTE = st.one_of(st.sampled_from(b" \t\r\n.-+e_x019"), st.integers(0, 255))
+_EDITS = st.lists(st.tuples(st.sampled_from(["set", "ins", "del", "cut"]),
+                            st.integers(0, 10**6), _BYTE), max_size=3)
+
+
+def _mutate(raw: bytes, edits) -> bytes:
+    for op, pos, b in edits:
         pos %= len(raw) + 1
         if op == "set" and pos < len(raw):
             raw = raw[:pos] + bytes([b]) + raw[pos + 1:]
@@ -650,6 +658,16 @@ class TestScanpathFile:
         with pytest.raises(ValidationError):
             read_scanpaths(p)
 
+    def test_fractional_frame_is_parse_error_at_its_line(self, tmp_path):
+        p = tmp_path / "paths.jsonl"
+        good = ('{"frame": [64, 64], "fixations": [[64.5, 1.0]], '
+                '"input_type": "natural image", "output_type": "scanpath", "query": null}')
+        p.write_text(good.replace("[64, 64]", "[65, 64]") + "\n\n"
+                     + good.replace("[64, 64]", "[64.9, 64]") + "\n")
+        with pytest.raises(ParseError, match="whole numbers") as e:
+            read_scanpaths(p)
+        assert e.value.line == 3
+
     def test_missing_field_named(self, tmp_path):
         p = tmp_path / "paths.jsonl"
         p.write_text('{"frame": [64, 64], "fixations": [[1.0, 1.0]], '
@@ -719,6 +737,33 @@ class TestRatingFile:
         with pytest.raises(ParseError):
             read_ratings(p)
 
+    @pytest.mark.parametrize("reader,text,count", [
+        (read_ratings, "id,predicted,observed\nx,0.5\n", 2),
+        (read_ratings, "id,predicted,observed\nx,0.5,0.25,1\n", 4),
+        (data._read_scores, "id,score\n000000\n", 1),
+        (data._read_scores, "id,score\n000000,0.5,0.5\n", 3),
+    ])
+    def test_wrong_field_count_rejected(self, tmp_path, reader, text, count):
+        p = tmp_path / "r.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"got {count}") as e:
+            reader(p)
+        assert e.value.line == 2
+
+    def test_first_error_in_file_order_wins(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("id,predicted,observed\nx,zero,1.0\ny,0.5\n")
+        with pytest.raises(ParseError, match="bad numeric field") as e:
+            read_ratings(p)
+        assert e.value.line == 2
+
+    def test_field_over_the_csv_size_limit_is_parse_error(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("id,predicted,observed\nx,0.5,0.25\n" + "y" * 200_000 + ",0.5,0.25\n")
+        with pytest.raises(ParseError, match="field limit") as e:
+            read_ratings(p)
+        assert e.value.line == 3
+
 
 # ---------------------------------------------------------------------------
 # bytes that are not UTF-8, in every text reader
@@ -749,6 +794,98 @@ def test_csv_readers_keep_quoted_newlines(tmp_path):
     rows = [("a\r\nb", 0.5, 0.25), ("c\nd", 1.0, 0.0)]
     write_ratings(p, rows)
     assert read_ratings(p) == rows
+
+
+# ---------------------------------------------------------------------------
+# malformed bytes in every reader
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """One small valid file per reader, as bytes."""
+    tmp_path = tmp_path_factory.mktemp("valid")
+    files = {}
+    files["ratings"] = tmp_path / "r.csv"
+    write_ratings(files["ratings"], [("a", 0.5, 0.25), ('b,"c', 1e-3, 1.0)])
+    files["scores"] = tmp_path / "scores.csv"
+    files["scores"].write_text("id,score\n000000,0.5\n000001,3.25\n")
+    files["scanpaths"] = tmp_path / "p.jsonl"
+    write_scanpaths(files["scanpaths"], [
+        (Scanpath((8, 8), [[1.0, 2.5], [7.0, 0.0]]), PromptSpec("webpage", "scanpath", "q")),
+        (Scanpath((8, 6), [[3.0, 3.0]]), PromptSpec("natural image", "scanpath"))])
+    files["pgm"] = tmp_path / "m.pgm"
+    write_pgm(files["pgm"], GrayMap(3, 2, [[0.0, 0.5, 1.0], [0.25, 0.75, 0.125]]))
+    files["ppm"] = tmp_path / "i.ppm"
+    write_ppm(files["ppm"], ImageGrid(2, 2, np.full((2, 2, 3), 0.5)))
+    files["config"] = tmp_path / "config.txt"
+    write_config(files["config"], ModelConfig(image_size=40, embed_dim=16, heads=2))
+    files["meta"] = tmp_path / "meta.txt"
+    files["meta"].write_text("name = h\ninput_type = webpage\noutput_type = scanpath\n")
+    for name, path in files.items():
+        _READERS[name](path)  # each reads unedited
+    return {name: path.read_bytes() for name, path in files.items()}
+
+
+_READERS = {"ratings": read_ratings, "scores": data._read_scores,
+            "scanpaths": read_scanpaths, "pgm": read_pgm, "ppm": read_ppm,
+            "config": read_config, "meta": data._read_meta}
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@settings(max_examples=150)
+@given(edits=_EDITS)
+def test_mutated_files_only_raise_uniar_errors(tmp_path_factory, valid_files, name, edits):
+    """Byte edits and truncations of a valid file either read or raise a
+    UniarError; nothing else escapes a reader."""
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{name}"
+    path.write_bytes(_mutate(valid_files[name], edits))
+    try:
+        _READERS[name](path)
+    except UniarError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# shared file helpers
+
+
+class TestSharedHelpers:
+    def test_list_files_first_extension_wins_in_name_order(self, tmp_path):
+        for f in ("b.pgm", "b.grid", "a.pgm", "a-1.jsonl", "a.jsonl", "c.txt"):
+            (tmp_path / f).write_text("")
+        maps = data.list_files(tmp_path, data.MAP_EXTS)
+        assert maps == {"a": str(tmp_path / "a.pgm"), "b": str(tmp_path / "b.grid")}
+        assert list(data.list_files(tmp_path, (".jsonl",))) == ["a-1", "a"]
+
+    def test_list_files_needs_a_directory(self, tmp_path):
+        with pytest.raises(ValidationError, match="not a directory"):
+            data.list_files(tmp_path / "missing", (".jsonl",))
+
+    def test_read_map_reads_both_formats_and_rejects_int_grids(self, tmp_path):
+        m = GrayMap(2, 1, [[0.0, 1.0]])  # exact in 16-bit PGM too
+        write_grid(tmp_path / "m.grid", m)
+        write_pgm(tmp_path / "m.pgm", m)
+        assert np.array_equal(data.read_map(tmp_path / "m.grid").values, m.values)
+        assert np.array_equal(data.read_map(tmp_path / "m.pgm").values, m.values)
+        write_grid(tmp_path / "s.grid", SegmentationMap(2, 1, [[0, 1]]))
+        with pytest.raises(ValidationError, match="expected a float map"):
+            data.read_map(tmp_path / "s.grid")
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_read_scanpath_needs_exactly_one_line(self, tmp_path, count):
+        item = (Scanpath((8, 8), [[1.0, 1.0]]), PromptSpec("webpage", "scanpath"))
+        write_scanpaths(tmp_path / "p.jsonl", [item] * count)
+        with pytest.raises(ValidationError, match=f"exactly one scanpath, found {count}"):
+            data.read_scanpath(tmp_path / "p.jsonl")
+
+    def test_key_values_round_trip(self, tmp_path):
+        pairs = [("name", "h 1"), ("input_type", "webpage"), ("output_type", "scanpath")]
+        data.write_key_values(tmp_path / "meta.txt", pairs)
+        assert (tmp_path / "meta.txt").read_text() == (
+            "name = h 1\ninput_type = webpage\noutput_type = scanpath\n")
+        back = [(k, v) for k, v, _ in data.read_key_values(tmp_path / "meta.txt",
+                                                           data._META_KEYS, "meta")]
+        assert back == pairs
 
 
 # ---------------------------------------------------------------------------

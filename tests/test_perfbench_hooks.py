@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from uniar import autodiff, model
+from uniar import autodiff, cli, data, metrics, model
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,3 +41,15 @@ def test_decode_position_counter_arguments():
     params = list(inspect.signature(model.next_token_logits).parameters)
     assert params[3] == "prefix_ids"
     assert "next_token_logits" in model.scanpath_generate.__code__.co_names
+
+
+def test_cli_binds_the_hooked_functions():
+    # perfbench's untraced runs hook these names in uniar.cli to mark where
+    # each eval sample and each train step ends
+    assert cli.evaluate_heatmap is metrics.evaluate_heatmap
+    assert cli.multimatch is metrics.multimatch
+    assert cli.mixture_next is data.mixture_next
+    assert cli.run_training is model.run_training
+    assert "evaluate_heatmap" in cli._heatmap_one.__code__.co_names
+    assert "multimatch" in cli._scanpath_one.__code__.co_names
+    assert "run_training" in cli._cmd_train.__code__.co_names

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uniar.errors import ParseError, ValidationError
+from uniar.metrics import MeanShiftResult
 from uniar.types import (
     INPUT_TYPES,
     OUTPUT_TYPES,
@@ -133,6 +134,19 @@ class TestFixationsAndScanpaths:
             Scanpath(frame=frame, fixations=[[1.0, 1.0]])
         with pytest.raises(ValidationError, match="frame"):
             FixationSet(frame=frame)
+
+    @pytest.mark.parametrize("frame", [(10.9, 10), (10, 9.5), (np.float64(64.25), 64), ("10", 10)])
+    def test_fractional_frame_rejected_not_truncated(self, frame):
+        # 10.9 used to become 10, which rejected a fixation at x = 10.5 as
+        # outside the frame
+        with pytest.raises(ValidationError, match="whole numbers"):
+            Scanpath(frame=frame, fixations=[[9.5, 1.0]])
+        with pytest.raises(ValidationError, match="whole numbers"):
+            FixationSet(frame=frame)
+
+    def test_whole_float_frame_accepted(self):
+        p = Scanpath(frame=(64.0, np.float64(32.0)), fixations=[[63.5, 31.5]])
+        assert p.frame == (64, 32) and all(type(v) is int for v in p.frame)
 
 
 class TestBinnedScanpath:
@@ -287,3 +301,33 @@ class TestSamplesAndHandles:
             DatasetHandle("mismatch", "webpage", "aesthetics score", (s,))
         with pytest.raises(ValidationError):
             DatasetHandle("badtype", "natural image", "saliency", (s,))
+
+
+# Each array-backed type makes one private copy of its input while it
+# coerces the dtype, then freezes that copy.
+_ARRAY_TYPES = [
+    ("GrayMap", lambda a: GrayMap(2, 2, a), "values", np.zeros((2, 2))),
+    ("SegmentationMap", lambda a: SegmentationMap(2, 2, a), "labels",
+     np.zeros((2, 2), dtype=np.int64)),
+    ("ImageGrid", lambda a: ImageGrid(2, 1, a), "pixels", np.zeros((1, 2, 3))),
+    ("FixationSet", lambda a: FixationSet((4, 4), a), "points", np.ones((3, 2))),
+    ("Scanpath", lambda a: Scanpath((4, 4), a), "fixations", np.ones((3, 2))),
+    ("BinnedScanpath", BinnedScanpath, "bins", np.ones((3, 2), dtype=np.int64)),
+    ("MeanShiftResult.centers", lambda a: MeanShiftResult(a, np.zeros(3, dtype=np.int64), 1.0),
+     "centers", np.ones((3, 2))),
+    ("MeanShiftResult.labels", lambda a: MeanShiftResult(np.ones((1, 2)), a, 1.0), "labels",
+     np.zeros(3, dtype=np.int64)),
+]
+
+
+@pytest.mark.parametrize("make,attr,arr", [t[1:] for t in _ARRAY_TYPES],
+                         ids=[t[0] for t in _ARRAY_TYPES])
+def test_instance_owns_a_read_only_copy(make, attr, arr):
+    obj = make(arr)
+    held = getattr(obj, attr)
+    before = held.copy()
+    arr[...] = 3  # the caller keeps writing to its own array
+    assert np.array_equal(held, before) and not np.shares_memory(held, arr)
+    assert not held.flags.writeable
+    with pytest.raises(ValueError):
+        held.flat[0] = 1
