@@ -7,8 +7,10 @@ order. Every forward result is checked for NaN/Inf, so attention
 masks must use large finite negatives rather than -inf.
 
 Performance is a non-goal beyond keeping desk-scale training runs in
-the minutes range; convolutions use an im2col path, checked against
-the explicit-loop oracles in the test suite.
+the minutes range. Convolutions are one im2col-plus-matmul primitive
+and its adjoint: ``conv2d`` runs the primitive forward and the adjoint
+for its input gradient, ``conv2d_transpose`` the other way round. Both
+are checked against the explicit-loop oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -357,33 +359,38 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolutions (NHWC, weight (kh, kw, cin, cout))
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def _conv(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
+    """Cross-correlate NHWC ``x`` with a (kh, kw, cin, cout) kernel: one
+    im2col copy of the windows, then one matmul. Returns the output and
+    the (n, oh, ow, kh*kw*cin) window columns, which each weight
+    gradient multiplies once."""
+    kh, kw, cin, cout = w.shape
     if pad:
         x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    n, h, w, c = x.shape
+    n, h, wd, _ = x.shape
     oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+    ow = (wd - kw) // stride + 1
     if oh <= 0 or ow <= 0:
-        raise ValidationError(f"kernel {kh}x{kw} too large for input {h}x{w}")
+        raise ValidationError(f"kernel {kh}x{kw} too large for input {h}x{wd}")
     s0, s1, s2, s3 = x.strides
     win = np.lib.stride_tricks.as_strided(
-        x, (n, oh, ow, kh, kw, c), (s0, s1 * stride, s2 * stride, s1, s2, s3))
-    return np.ascontiguousarray(win).reshape(n, oh, ow, kh * kw * c), oh, ow
+        x, (n, oh, ow, kh, kw, cin), (s0, s1 * stride, s2 * stride, s1, s2, s3))
+    cols = np.ascontiguousarray(win).reshape(n, oh, ow, kh * kw * cin)
+    return cols @ w.reshape(kh * kw * cin, cout), cols
 
 
-def _col2im(cols: np.ndarray, out_hw, kh: int, kw: int, stride: int, pad: int,
-            c: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add window columns back to image."""
-    n, oh, ow = cols.shape[:3]
-    h, w = out_hw
-    img = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    cols6 = cols.reshape(n, oh, ow, kh, kw, c)
-    for i in range(kh):
-        for j in range(kw):
-            img[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += cols6[:, :, :, i, j, :]
-    if pad:
-        img = img[:, pad:pad + h, pad:pad + w, :]
-    return img
+def _conv_adjoint(g: np.ndarray, w: np.ndarray, stride: int, pad: int, hw) -> np.ndarray:
+    """Adjoint of ``_conv`` in its input, for an (h, w) input ``hw``:
+    ``g`` placed ``stride`` apart on a zero canvas, a stride-1 ``_conv``
+    with the flipped, channel-swapped kernel, and ``pad`` cropped from
+    each side (Dumoulin & Visin 2016, arXiv 1603.07285)."""
+    kh, kw = w.shape[:2]
+    h, wd = hw
+    n, oh, ow, c = g.shape
+    canvas = np.zeros((n, h + 2 * pad + kh - 1, wd + 2 * pad + kw - 1, c))
+    canvas[:, kh - 1:kh - 1 + stride * oh:stride, kw - 1:kw - 1 + stride * ow:stride] = g
+    full, _ = _conv(canvas, w[::-1, ::-1].transpose(0, 1, 3, 2), 1, 0)
+    return full[:, pad:pad + h, pad:pad + wd]
 
 
 def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
@@ -391,47 +398,37 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ValidationError("conv2d expects NHWC input and (kh,kw,cin,cout) weight")
-    kh, kw, cin, cout = w.shape
-    if x.shape[3] != cin:
-        raise ValidationError(f"conv2d channel mismatch: input {x.shape[3]}, weight {cin}")
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
-    wmat = w.data.reshape(kh * kw * cin, cout)
-    data = cols @ wmat
+    if x.shape[3] != w.shape[2]:
+        raise ValidationError(f"conv2d channel mismatch: input {x.shape[3]}, weight {w.shape[2]}")
+    data, cols = _conv(x.data, w.data, stride, pad)
 
     def bwd(g):
-        gmat = g.reshape(-1, cout)
-        gw = (cols.reshape(-1, kh * kw * cin).T @ gmat).reshape(w.shape)
-        gcols = g @ wmat.T
-        gx = _col2im(gcols, (x.shape[1], x.shape[2]), kh, kw, stride, pad, cin)
-        return gx, gw
+        gw = cols.reshape(-1, cols.shape[3]).T @ g.reshape(-1, g.shape[3])
+        return _conv_adjoint(g, w.data, stride, pad, x.shape[1:3]), gw.reshape(w.shape)
 
     return _make(data, (x, w), bwd, "conv2d")
 
 
 def conv2d_transpose(x, w, stride: int = 2, pad: int = 0) -> Tensor:
-    """Transposed convolution, NHWC x (kh, kw, cout, cin); output side
-    grows to (in-1)*stride + kh - 2*pad."""
+    """Transposed convolution, NHWC x (kh, kw, cout, cin): the adjoint
+    of ``conv2d`` with the same weight. Output side grows to
+    (in-1)*stride + kh - 2*pad."""
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ValidationError("conv2d_transpose expects NHWC input and (kh,kw,cout,cin) weight")
-    kh, kw, cout, cin = w.shape
+    kh, kw, _, cin = w.shape
     if x.shape[3] != cin:
         raise ValidationError(f"conv2d_transpose channel mismatch: input {x.shape[3]}, weight {cin}")
-    n, h, wd = x.shape[:3]
-    oh = (h - 1) * stride + kh - 2 * pad
-    ow = (wd - 1) * stride + kw - 2 * pad
+    oh = (x.shape[1] - 1) * stride + kh - 2 * pad
+    ow = (x.shape[2] - 1) * stride + kw - 2 * pad
     if oh <= 0 or ow <= 0:
         raise ValidationError("transposed conv output would be empty")
-    wmat = w.data.reshape(kh * kw * cout, cin)
-    cols = x.data @ wmat.T  # (n, h, wd, kh*kw*cout)
-    data = _col2im(cols, (oh, ow), kh, kw, stride, pad, cout)
+    data = _conv_adjoint(x.data, w.data, stride, pad, (oh, ow))
 
     def bwd(g):
-        gcols, goh, gow = _im2col(g, kh, kw, stride, pad)
-        assert (goh, gow) == (h, wd)
-        gx = gcols @ wmat
-        gw = (gcols.reshape(-1, kh * kw * cout).T @ x.data.reshape(-1, cin)).reshape(w.shape)
-        return gx, gw
+        gx, gcols = _conv(g, w.data, stride, pad)
+        gw = gcols.reshape(-1, gcols.shape[3]).T @ x.data.reshape(-1, cin)
+        return gx, gw.reshape(w.shape)
 
     return _make(data, (x, w), bwd, "conv2d_transpose")
 
@@ -464,7 +461,7 @@ def topo_order(root: Tensor) -> list:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf that influences a
     scalar loss. Leaves the loss never touches keep ``grad`` None,
-    which the optimizer and grad_check read as zero."""
+    which the optimizer reads as zero."""
     if loss.data.size != 1:
         raise ValidationError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -489,50 +486,6 @@ def backward(loss: Tensor) -> None:
 def zero_grads(params) -> None:
     for t in (params.values() if isinstance(params, dict) else params):
         t.grad = None
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-def grad_check(f, x, h: float = 1e-5, sample: int | None = None, seed: int = 0) -> float:
-    """Max relative error between backward gradients and central
-    differences, over all (or ``sample`` per-tensor seeded random)
-    coordinates of the leaf tensors in ``x``.
-
-    ``f`` must rebuild its graph on each call and return a scalar
-    Tensor. Relative error = |a - b| / max(1e-8, |a| + |b|).
-    """
-    if not (h > 0):
-        raise ValidationError("step size must be positive")
-    leaves = [x] if isinstance(x, Tensor) else list(x)
-    for t in leaves:
-        t.requires_grad = True
-    zero_grads(leaves)
-    loss = f(*leaves)
-    backward(loss)
-    anal = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in leaves]
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for t, ga in zip(leaves, anal):
-        n = t.data.size
-        if sample is None or sample >= n:
-            idxs = range(n)
-        else:
-            idxs = rng.choice(n, size=sample, replace=False)
-        flat = t.data.reshape(-1)
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = f(*leaves).item()
-            flat[i] = orig - h
-            fm = f(*leaves).item()
-            flat[i] = orig
-            num = (fp - fm) / (2.0 * h)
-            a = float(ga.reshape(-1)[i])
-            err = abs(num - a) / max(1e-8, abs(num) + abs(a))
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

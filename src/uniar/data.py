@@ -334,9 +334,19 @@ def _open_utf8(path, newline=None):
 
 def write_key_values(path, pairs) -> None:
     """One `key = value` line per (key, value) pair, in order; the
-    inverse of read_key_values."""
+    inverse of read_key_values. A key or value that would not read back
+    unchanged (a line break, surrounding whitespace, an empty key, a key
+    holding `=` or opening with `#`) raises ValidationError before the
+    file is written."""
+    lines = []
+    for key, value in pairs:
+        key, value = str(key), str(value)
+        if (not key or "=" in key or key.startswith("#")
+                or any("\n" in t or "\r" in t or t != t.strip() for t in (key, value))):
+            raise ValidationError(f"{key!r} = {value!r} would not read back unchanged")
+        lines.append(f"{key} = {value}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{key} = {value}\n" for key, value in pairs))
+        fh.write("".join(lines))
 
 
 def read_key_values(path, keys, kind: str):
@@ -610,8 +620,8 @@ def read_table(path, header, kind: str):
     in file order: the first field as text, the others as finite floats.
     An empty file, another header, a row whose field count differs from
     the header's, a bad number or bytes the csv module rejects (a field
-    over its size limit) raise ParseError at the first such line;
-    ``kind`` names the file in the messages."""
+    over its size limit) raise ParseError at the physical line where the
+    first such row ends; ``kind`` names the file in the messages."""
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -620,16 +630,16 @@ def read_table(path, header, kind: str):
                 raise ParseError(f"empty {kind} file", line=1)
             if tuple(first) != header:
                 raise ParseError(f"header must be {','.join(header)}", line=1)
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if len(row) != len(header):
                     raise ParseError(f"expected {len(header)} fields, got {len(row)}",
-                                     line=lineno)
+                                     line=reader.line_num)
                 try:
                     values = [float(v) for v in row[1:]]
                 except ValueError:
-                    raise ParseError(f"bad numeric field in {row!r}", line=lineno)
+                    raise ParseError(f"bad numeric field in {row!r}", line=reader.line_num)
                 if not all(map(math.isfinite, values)):
-                    raise ParseError(f"{kind} must be finite", line=lineno)
+                    raise ParseError(f"{kind} must be finite", line=reader.line_num)
                 yield row[0], values
         except csv.Error as e:
             raise ParseError(f"bad CSV: {e}", line=reader.line_num)

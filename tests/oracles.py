@@ -3,14 +3,17 @@ package. Everything here is deliberately naive: pure-Python loops,
 explicit threshold sweeps, pairwise counting, direct per-pixel kernel
 sums. No code is shared with the library paths under test; the grid
 reader oracle only borrows the package's error and map types, so its
-results compare directly with `read_grid`'s."""
+results compare directly with `read_grid`'s, and `grad_check` only
+calls `backward` to get the gradients it checks against central
+differences."""
 
 import math
 import re
 
 import numpy as np
 
-from uniar.errors import ParseError
+from uniar import autodiff as ad
+from uniar.errors import ParseError, ValidationError
 from uniar.types import GrayMap, SegmentationMap
 
 
@@ -293,6 +296,47 @@ def conv2d_transpose_naive(x, w, stride=2, pad=0):
                             for ci in range(cin):
                                 out[oy][ox][co] += x[iy][ix][ci] * w[ky][kx][co][ci]
     return out
+
+
+def grad_check(f, x, h: float = 1e-5, sample: int | None = None, seed: int = 0) -> float:
+    """Max relative error between backward gradients and central
+    differences, over all (or ``sample`` per-tensor seeded random)
+    coordinates of the leaf tensors in ``x``.
+
+    ``f`` must rebuild its graph on each call and return a scalar
+    Tensor. Relative error = |a - b| / max(1e-8, |a| + |b|).
+    """
+    if not (h > 0):
+        raise ValidationError("step size must be positive")
+    leaves = [x] if isinstance(x, ad.Tensor) else list(x)
+    for t in leaves:
+        t.requires_grad = True
+    ad.zero_grads(leaves)
+    loss = f(*leaves)
+    ad.backward(loss)
+    anal = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in leaves]
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for t, ga in zip(leaves, anal):
+        n = t.data.size
+        if sample is None or sample >= n:
+            idxs = range(n)
+        else:
+            idxs = rng.choice(n, size=sample, replace=False)
+        flat = t.data.reshape(-1)
+        for i in idxs:
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = f(*leaves).item()
+            flat[i] = orig - h
+            fm = f(*leaves).item()
+            flat[i] = orig
+            num = (fp - fm) / (2.0 * h)
+            a = float(ga.reshape(-1)[i])
+            err = abs(num - a) / max(1e-8, abs(num) + abs(a))
+            worst = max(worst, err)
+    return worst
 
 
 def read_grid_naive(path):

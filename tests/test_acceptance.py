@@ -20,6 +20,7 @@ from oracles import (
     auc_judd_naive,
     auc_pairwise,
     cc_naive,
+    grad_check,
     kld_naive,
     nss_naive,
     pearson_naive,
@@ -229,7 +230,7 @@ def test_criterion_4_gradient_checks():
     def check(name, build, tensors, tol=1e-6):
         probe = build(*tensors)
         dotted.c = rng.standard_normal(probe.shape)
-        err = ad.grad_check(dotted(build), tensors)
+        err = grad_check(dotted(build), tensors)
         assert err < tol, f"{name}: {err:.3e}"
         per_op.append((name, err))
 
@@ -282,7 +283,7 @@ def test_criterion_4_gradient_checks():
     def loss_fn(*ts):
         return _batch_loss(batch, dict(zip(names, ts)), cfg)
 
-    err = ad.grad_check(loss_fn, tensors, sample=2, seed=5)
+    err = grad_check(loss_fn, tensors, sample=2, seed=5)
     assert err < 1e-4, f"end-to-end: {err:.3e}"
     dt = time.perf_counter() - t0
     assert dt < 60.0

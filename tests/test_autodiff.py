@@ -2,13 +2,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uniar import autodiff as ad
 from uniar.errors import NumericError, UniarError, ValidationError
 
-from oracles import conv2d_naive, conv2d_transpose_naive
+from oracles import conv2d_naive, conv2d_transpose_naive, grad_check
 
 TOL = 1e-6  # per-op finite-difference tolerance at h = 1e-5
 
@@ -19,7 +19,7 @@ def dot_loss(t, c):
 
 
 def check(f, tensors, tol=TOL, **kw):
-    err = ad.grad_check(f, tensors, **kw)
+    err = grad_check(f, tensors, **kw)
     assert err < tol, f"grad check failed: {err:.3e}"
 
 
@@ -190,7 +190,7 @@ def test_grad_linear_is_near_exact():
     rng = np.random.default_rng(7)
     a = ad.Tensor(rng.normal(size=(6,)))
     c = rng.normal(size=(6,))
-    err = ad.grad_check(lambda a: dot_loss(a, c), [a])
+    err = grad_check(lambda a: dot_loss(a, c), [a])
     assert err < 1e-10
 
 
@@ -286,6 +286,42 @@ def test_conv2d_transpose_matches_scatter_oracle(stride, pad):
     got = ad.conv2d_transpose(ad.Tensor(x[None]), ad.Tensor(w), stride=stride, pad=pad).data[0]
     want = np.array(conv2d_transpose_naive(x.tolist(), w.tolist(), stride=stride, pad=pad))
     assert np.allclose(got, want, atol=1e-12)
+
+
+@given(n=st.integers(1, 2), h=st.integers(1, 7), wd=st.integers(1, 7),
+       cin=st.integers(1, 3), cout=st.integers(1, 3), kh=st.integers(1, 4),
+       kw=st.integers(1, 4), stride=st.integers(1, 3), pad=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, h=4, wd=5, cin=2, cout=3, kh=2, kw=2, stride=3, pad=2, seed=0)
+@example(n=2, h=6, wd=3, cin=1, cout=2, kh=3, kw=1, stride=2, pad=3, seed=1)
+@settings(max_examples=80)
+def test_conv_input_gradient_is_exactly_the_transpose(n, h, wd, cin, cout, kh, kw,
+                                                     stride, pad, seed):
+    # <conv2d(x, w), g> differentiated in x is the scatter-form transposed
+    # convolution of g over the padded input, cropped to x. When the
+    # strided windows do not fit the padded input exactly, the oracle's
+    # own symmetric crop cuts rows the windows still read, so the
+    # reference is the uncropped oracle (pad 0) placed on the padded
+    # canvas; conv2d_transpose's forward is the oracle with its padding
+    assume(pad <= max(kh, kw) and h + 2 * pad >= kh and wd + 2 * pad >= kw)
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=(n, h, wd, cin)), requires_grad=True)
+    w = rng.normal(size=(kh, kw, cin, cout))
+    out = ad.conv2d(x, ad.Tensor(w), stride=stride, pad=pad)
+    g = rng.normal(size=out.shape)
+    ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+    canvas = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin))
+    for i, gi in enumerate(g):
+        full = np.array(conv2d_transpose_naive(gi.tolist(), w.tolist(), stride=stride, pad=0))
+        canvas[i, :full.shape[0], :full.shape[1]] = full
+    want = canvas[:, pad:pad + h, pad:pad + wd]
+    assert np.max(np.abs(x.grad - want)) <= 1e-12
+    if (out.shape[1] - 1) * stride + kh > 2 * pad and (out.shape[2] - 1) * stride + kw > 2 * pad:
+        fwd = ad.conv2d_transpose(ad.Tensor(g), ad.Tensor(w), stride=stride, pad=pad).data
+        want = np.array([conv2d_transpose_naive(gi.tolist(), w.tolist(), stride=stride, pad=pad)
+                         for gi in g])
+        assert fwd.shape == want.shape
+        assert np.max(np.abs(fwd - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

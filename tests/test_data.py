@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -796,6 +798,15 @@ def test_csv_readers_keep_quoted_newlines(tmp_path):
     assert read_ratings(p) == rows
 
 
+def test_table_errors_name_the_physical_line(tmp_path):
+    # the quoted id spans lines 2-3, so the bad number sits on line 4
+    p = tmp_path / "r.csv"
+    p.write_text('id,predicted,observed\n"a\nb",0.5,0.25\nc,zz,0.1\n')
+    with pytest.raises(ParseError, match="line 4") as e:
+        read_ratings(p)
+    assert e.value.line == 4
+
+
 # ---------------------------------------------------------------------------
 # malformed bytes in every reader
 
@@ -887,6 +898,16 @@ class TestSharedHelpers:
                                                            data._META_KEYS, "meta")]
         assert back == pairs
 
+    @pytest.mark.parametrize("key,value", [
+        ("name", "two\nlines"), ("name", "car\rriage"), ("name", " padded "),
+        ("name", "trailing\t"), ("", "x"), ("a=b", "x"), ("#name", "x"), (" name", "x"),
+    ])
+    def test_key_values_that_would_not_read_back_are_rejected(self, tmp_path, key, value):
+        with pytest.raises(ValidationError, match="would not read back unchanged"):
+            data.write_key_values(tmp_path / "meta.txt", [("input_type", "webpage"),
+                                                          (key, value)])
+        assert not (tmp_path / "meta.txt").exists()
+
 
 # ---------------------------------------------------------------------------
 # handle directories
@@ -901,6 +922,18 @@ class TestHandleIO:
             h.name, h.input_type, h.output_type)
         same_samples(h.samples, back.samples,
                      image_atol=0.5 / 255 + 1e-12, map_atol=0.5 / 65535 + 1e-12)
+
+    @pytest.mark.parametrize("name", ["two\nlines", " padded "])
+    def test_names_that_would_not_read_back_are_rejected(self, tmp_path, name):
+        h = dataclasses.replace(gen_rating_task(0, 2, size=8), name=name)
+        with pytest.raises(ValidationError, match="would not read back unchanged"):
+            save_handle(tmp_path / "h", h)
+
+    @pytest.mark.parametrize("name", ["h 1", "a = b", "#tag", "tab\tinside", "ünï"])
+    def test_accepted_names_round_trip(self, tmp_path, name):
+        h = dataclasses.replace(gen_rating_task(0, 2, size=8), name=name)
+        save_handle(tmp_path / "h", h)
+        assert load_handle(tmp_path / "h").name == name
 
     def test_scanpath_round_trip_exact(self, tmp_path):
         h = gen_scanpath_task(1, 4)

@@ -7,6 +7,8 @@ from uniar.codec import decode_robust, encode_target, quantize
 from uniar.errors import ParseError, ValidationError
 from uniar.types import GrayMap, ImageGrid, PromptSpec, Sample, Scanpath
 
+from oracles import grad_check
+
 CFG = M.ModelConfig()
 # small config for gradient sweeps: 20px image, 4px patches, 16-dim embed
 SMALL = M.ModelConfig(image_size=20, patch_size=4, embed_dim=16,
@@ -550,7 +552,7 @@ def test_end_to_end_gradient_check():
     def f(*_):
         return M._batch_loss(batch, params, SMALL)
 
-    err = ad.grad_check(f, leaves, sample=1, seed=0)
+    err = grad_check(f, leaves, sample=1, seed=0)
     assert err < 1e-4
 
 
