@@ -3,8 +3,9 @@
 Tensors wrap numpy arrays; each differentiable operation records its
 parents and a closure that maps the output gradient to parent
 gradients. ``backward`` walks the graph once in reverse topological
-order. Every forward result is checked for NaN/Inf, so attention
-masks must use large finite negatives rather than -inf.
+order. ``Tensor(...)`` rejects NaN/Inf inputs, so attention masks
+must use large finite negatives rather than -inf. Op outputs are
+checked once, where a value leaves the engine (see ``check_finite``).
 
 Performance is a non-goal beyond keeping desk-scale training runs in
 the minutes range. Convolutions are one im2col-plus-matmul primitive
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 
 _GRAD_ENABLED = True
+_CHECK_OPS = False  # set only inside check_finite's re-run
 
 
 @contextmanager
@@ -38,9 +40,20 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _finite_or_raise(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
-        raise NumericError(f"non-finite values produced by {op}")
+def check_finite(data, what: str, rerun=None) -> None:
+    """Raise NumericError naming ``what`` if ``data`` holds NaN or Inf.
+    A boundary passes ``rerun``, the forward that made ``data``; it runs
+    once first with per-op checks on, to name the first failing op."""
+    if np.isfinite(data).all():
+        return
+    global _CHECK_OPS
+    if rerun is not None:
+        _CHECK_OPS = True
+        try:
+            rerun()
+        finally:
+            _CHECK_OPS = False
+    raise NumericError(f"non-finite values produced by {what}")
 
 
 class Tensor:
@@ -50,7 +63,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        _finite_or_raise(self.data, "tensor construction")
+        check_finite(self.data, "tensor construction")
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -84,7 +97,8 @@ def _wrap(x) -> Tensor:
 def _make(data: np.ndarray, parents, bwd, op: str) -> Tensor:
     """Assemble an op result, recording the graph edge only when grad
     mode is on and some parent needs gradients."""
-    _finite_or_raise(data, op)
+    if _CHECK_OPS:
+        check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -503,19 +517,23 @@ def adam_init(params: dict) -> dict:
 def adam_step(params: dict, grads: dict, state: dict, lr: float = 1e-3,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
     """Bias-corrected Adam. Updates parameters in place and returns
-    (params, state). Parameters without a gradient entry are left
-    untouched (their moments still decay)."""
+    (params, state). Gradients are checked for shape and NaN/Inf before
+    any state changes. A parameter without a gradient entry takes a zero
+    one: its moments decay, and its momentum may still move it."""
+    for k, p in params.items():
+        g = grads.get(k)
+        if g is None:
+            continue
+        if g.shape != p.data.shape:
+            raise ValidationError(f"gradient shape {g.shape} does not match {k} {p.data.shape}")
+        check_finite(g, f"the backward pass for {k}")
     state["t"] += 1
     t = state["t"]
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     for k, p in params.items():
-        g = grads.get(k)
+        g = grads.get(k, 0.0)
         m, v = state["m"][k], state["v"][k]
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif g.shape != p.data.shape:
-            raise ValidationError(f"gradient shape {g.shape} does not match {k} {p.data.shape}")
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -550,7 +568,7 @@ def save_checkpoint(path, params: dict) -> None:
 
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back into an ordered name -> ndarray dict. Any
-    truncated or corrupt content raises ValidationError."""
+    truncated, corrupt or non-finite content raises ValidationError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -580,6 +598,8 @@ def load_checkpoint(path) -> dict:
                                  f"{len(blob) - off} left")
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims)
             off += 8 * count
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"checkpoint tensor {name!r} holds non-finite values")
             out[name] = arr.astype(np.float64)
     except (struct.error, ValueError, OverflowError) as e:
         raise ValidationError(f"truncated or corrupt checkpoint: {e}")

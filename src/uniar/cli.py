@@ -295,7 +295,7 @@ def _cmd_eval_scanpath(args) -> None:
     gts = list_files(args.gt, (".jsonl",))
     if not preds:
         raise ValidationError(f"{args.pred}: no .jsonl scanpaths")
-    segs = list_files(args.seg, MAP_EXTS) if args.seg else {}
+    segs = list_files(args.seg, (".grid",)) if args.seg else {}
     tasks = []
     for sid in sorted(preds):
         if sid not in gts:

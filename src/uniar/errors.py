@@ -28,4 +28,5 @@ class ParseError(ValidationError):
 
 
 class NumericError(UniarError):
-    """Computation undefined on this input: zero variance, non-normalizable map, non-finite result."""
+    """Computation undefined on this input: zero variance, non-normalizable map, or a
+    NaN/Inf loss, gradient or model output (the message names the op or parameter)."""

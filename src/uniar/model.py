@@ -9,8 +9,8 @@ gradient is finite-difference checkable.
 
 Conventions: image tokens come first in the fused sequence and the
 heads read only those positions; the decoder attends to the whole
-fused sequence. Attention masks are additive with -1e30 (never -inf,
-the engine rejects non-finite values).
+fused sequence. Attention masks are additive with -1e30, never -inf,
+which ``Tensor(...)`` rejects (op outputs are checked at boundaries).
 """
 
 from __future__ import annotations
@@ -462,9 +462,16 @@ def encode_inputs(image: ImageGrid, prompt: PromptSpec, params, cfg: ModelConfig
     as is."""
     images = pad_image(image, cfg.image_size)[None]
     prompt_ids, prompt_mask = _prompt_batch([prompt], cfg)
+    return _inference(lambda: _encode_batch(images, prompt_ids, prompt_mask, params, cfg)[0],
+                      "the encoder")
+
+
+def _inference(forward, what: str) -> Tensor:
+    """Run ``forward`` without a graph; check its output (ad.check_finite)."""
     with ad.no_grad():
-        fused, _ = _encode_batch(images, prompt_ids, prompt_mask, params, cfg)
-    return fused
+        out = forward()
+        ad.check_finite(out.data, what, forward)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +583,15 @@ def scanpath_generate(fused, params, cfg: ModelConfig, max_tokens=None) -> str:
         raise ValidationError(
             f"max_tokens must lie in [1, {cfg.max_output_tokens}], got {max_tokens}")
     cache: dict = {}
-    last = BOS_ID
-    out = []
+    out = [BOS_ID]
     for _ in range(max_tokens):
-        last = int(np.argmax(next_token_logits(fused, params, cfg, [last], cache=cache)))
-        out.append(last)
-        if last == END_ID:
+        logits = next_token_logits(fused, params, cfg, out[-1:], cache=cache)
+        ad.check_finite(logits, "the decoder",
+                        lambda: next_token_logits(fused, params, cfg, out, cache={}))
+        out.append(int(np.argmax(logits)))
+        if out[-1] == END_ID:
             break
-    return " ".join(id_token(i) for i in out)
+    return " ".join(id_token(i) for i in out[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +694,7 @@ def train_step(batch, params, opt_state, cfg: ModelConfig, lr: float = 1e-3):
     (params, opt_state, loss) with the loss as a plain float."""
     ad.zero_grads(params)
     loss = _batch_loss(batch, params, cfg)
+    ad.check_finite(loss.data, "the training loss", lambda: _batch_loss(batch, params, cfg))
     ad.backward(loss)
     grads = {k: p.grad for k, p in params.items() if p.grad is not None}
     params, opt_state = ad.adam_step(params, grads, opt_state, lr=lr)
@@ -732,8 +741,8 @@ def predict_heatmap(image: ImageGrid, prompt: PromptSpec, params, cfg: ModelConf
     if prompt.kind != "heatmap":
         raise ValidationError(f"prompt output type {prompt.output_type!r} is not a heatmap task")
     fused = encode_inputs(image, prompt, params, cfg)
-    with ad.no_grad():
-        full = _heatmap_batch(_image_tokens(fused, cfg), params, cfg)
+    full = _inference(lambda: _heatmap_batch(_image_tokens(fused, cfg), params, cfg),
+                      "the heatmap head")
     values = full.data[0, :image.height, :image.width]
     return GrayMap(image.width, image.height, values, kind="unit-range")
 
@@ -742,8 +751,8 @@ def predict_rating(image: ImageGrid, prompt: PromptSpec, params, cfg: ModelConfi
     if prompt.kind != "score":
         raise ValidationError(f"prompt output type {prompt.output_type!r} is not a rating task")
     fused = encode_inputs(image, prompt, params, cfg)
-    with ad.no_grad():
-        out = _rating_batch(_image_tokens(fused, cfg), params, cfg)
+    out = _inference(lambda: _rating_batch(_image_tokens(fused, cfg), params, cfg),
+                     "the rating head")
     return RatingSample(float(out.data[0]))
 
 

@@ -384,12 +384,40 @@ def test_second_backward_accumulates_into_leaves():
 # error paths
 
 
-def test_non_finite_op_output_raises():
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericError):
-            ad.mul(ad.Tensor([1e308]), ad.Tensor([1e308]))
-    with pytest.raises(NumericError):
+def test_non_finite_values_raise_at_boundaries():
+    with pytest.raises(NumericError, match="produced by tensor construction"):
         ad.Tensor([np.nan])
+
+    def forward():
+        return ad.scale(ad.mul(ad.Tensor([1e308]), ad.Tensor([1e308])), 0.5)
+
+    with np.errstate(over="ignore"):
+        # outside a boundary's re-run, an op's non-finite output passes on
+        out = forward()
+        assert np.isinf(out.data).all()
+        with pytest.raises(NumericError, match="produced by mul$"):
+            ad.check_finite(out.data, "the test forward", forward)
+    assert ad._CHECK_OPS is False
+    # a re-run that raises nothing leaves the boundary to name itself
+    with pytest.raises(NumericError, match="produced by the heads$"):
+        ad.check_finite(np.array([1.0, np.nan]), "the heads", lambda: None)
+    ad.check_finite(np.ones(3), "finite data", lambda: pytest.fail("re-ran finite data"))
+
+
+def test_non_finite_gradient_names_its_parameter_before_adam_moves():
+    # finite forward (1e-10 * 1e300 * 1e10 = 1e300), infinite gradient for a
+    params = make_params({"a": [1e-10], "b": [1e300]})
+    loss = ad.scale(ad.tsum(ad.mul(params["a"], params["b"])), 1e10)
+    assert np.isfinite(loss.data).all()
+    with np.errstate(over="ignore"):
+        ad.backward(loss)
+    assert np.isinf(params["a"].grad).all() and np.isfinite(params["b"].grad).all()
+    state = ad.adam_init(params)
+    with pytest.raises(NumericError, match="produced by the backward pass for a$"):
+        ad.adam_step(params, {k: p.grad for k, p in params.items()}, state)
+    assert state["t"] == 0
+    assert params["a"].data[0] == 1e-10 and params["b"].data[0] == 1e300
+    assert not state["m"]["b"].any() and not state["v"]["b"].any()
 
 
 def test_shape_errors():
@@ -462,16 +490,28 @@ def test_adam_quadratic_bowl_decreases():
 
 
 def test_adam_shape_mismatch_raises():
-    params = make_params({"w": [1.0, 2.0]})
+    # the bad gradient is the second one: the first parameter, the
+    # moments and the step count must stay as they were
+    params = make_params({"w": [1.0, 2.0], "b": [3.0]})
     state = ad.adam_init(params)
-    with pytest.raises(ValidationError):
-        ad.adam_step(params, {"w": np.zeros(3)}, state)
+    with pytest.raises(ValidationError, match="does not match b"):
+        ad.adam_step(params, {"w": np.ones(2), "b": np.zeros(3)}, state)
+    assert state["t"] == 0
+    assert params["w"].data.tolist() == [1.0, 2.0] and params["b"].data.tolist() == [3.0]
+    for k in ("w", "b"):
+        assert not state["m"][k].any() and not state["v"][k].any()
 
 
 def test_adam_missing_gradient_entry_decays_only():
-    params = make_params({"w": [1.0], "b": [4.0]})
+    params = make_params({"w": [1.0], "b": [4.0], "c": [4.0]})
     state = ad.adam_init(params)
-    ad.adam_step(params, {"w": np.array([1.0])}, state)
+    ad.adam_step(params, {"w": np.array([1.0]), "c": np.array([1.0])}, state)
+    assert params["b"].data[0] == 4.0
+    assert params["c"].data[0] == pytest.approx(3.999, abs=1e-9)
+    # not left untouched: with momentum, a step without its gradient
+    # still moves a parameter
+    ad.adam_step(params, {}, state)
+    assert params["c"].data[0] == pytest.approx(3.99833, abs=1e-5)
     assert params["b"].data[0] == 4.0
 
 
@@ -578,6 +618,16 @@ def test_checkpoint_corrupt_header_is_validation_error(tmp_path, blob, message):
     with pytest.raises(ValidationError, match="truncated or corrupt checkpoint") as e:
         ad.load_checkpoint(path)
     assert message in str(e.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_payload_names_the_tensor(tmp_path, bad):
+    path = tmp_path / "nan.ckpt"
+    w = np.ones((2, 3))
+    w[1, 2] = bad
+    ad.save_checkpoint(path, {"enc.w": np.ones(4), "out.w": w})
+    with pytest.raises(ValidationError, match="checkpoint tensor 'out.w' holds non-finite"):
+        ad.load_checkpoint(path)
 
 
 @settings(max_examples=300)

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import uniar.autodiff as ad
 import uniar.cli as cli
 from uniar.cli import render_overlay, report_table, run
 from uniar.data import (
@@ -330,6 +332,17 @@ class TestEvalScanpath:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
 
+    def test_stray_pgm_in_segmentation_dir_is_ignored(self, dirs, capsys):
+        # --seg reads .grid segmentations only: a .pgm there is not read
+        argv = ["eval-scanpath", "--pred", str(dirs / "pred"), "--gt", str(dirs / "gt"),
+                "--seg", str(dirs / "seg")]
+        (dirs / "seg" / "2.grid").unlink()
+        assert run(argv) == 0
+        want = capsys.readouterr().out
+        write_pgm(dirs / "seg" / "2.pgm", GrayMap(64, 64, np.full((64, 64), 0.5)))
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want
+
     def test_int64_overflow_in_segmentation_is_data_error(self, dirs, capsys):
         (dirs / "seg" / "1.grid").write_text("UARGRID 64 1 int\n" + "0 " * 63 + "99999999999999999999\n")
         assert run(["eval-scanpath", "--pred", str(dirs / "pred"),
@@ -461,6 +474,17 @@ class TestTrain:
             logs.append((out / "train_log.csv").read_bytes())
         assert logs[0] != logs[1]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_is_numeric_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "huge.txt"
+        write_config(cfg_path, dataclasses.replace(SLIM, loss_weights=(1e308, 1e308, 1e308)))
+        out = tmp_path / "run"
+        assert run(["train", "--synthetic", "--steps", "2", "--seed", "3",
+                    "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite values produced by scale"]
+        assert not out.exists()
+
     def test_synthetic_and_data_are_exclusive(self, tmp_path):
         assert run(["train", "--synthetic", "--data", str(tmp_path),
                     "--out", str(tmp_path / "o")]) == 1
@@ -543,6 +567,45 @@ class TestPredict:
                     "--out", str(tmp_path / "pred.jsonl")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "checkpoint" in err[0]
+
+    def test_non_finite_checkpoint_is_data_error(self, trained, tmp_path, capsys):
+        img_path = tmp_path / "img.ppm"
+        write_ppm(img_path, gen_saliency_task(9, 1).samples[0].image)
+        arrays = ad.load_checkpoint(trained / "model.ckpt")
+        arrays["out.w"][3, 5] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        ad.save_checkpoint(ckpt, arrays)
+        assert run(["predict", str(img_path), "--ckpt", str(ckpt),
+                    "--config", str(trained / "config.txt"),
+                    "--prompt", "INPUT_TYPE: natural image OUTPUT_TYPE: scanpath",
+                    "--out", str(tmp_path / "pred.jsonl")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'out.w'" in err[0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("weight,output,op", [
+        ("patch_proj.w", "saliency heatmap", "matmul"),
+        ("heat.read1.w", "saliency heatmap", "conv2d"),
+        ("rate.fc2.w", "aesthetics score", "matmul"),
+        ("out.w", "scanpath", "matmul"),
+    ])
+    def test_overflowing_checkpoint_is_numeric_error(self, trained, tmp_path, capsys,
+                                                     weight, output, op):
+        # finite weights whose products overflow: exit 3, one line naming the op
+        img_path = tmp_path / "img.ppm"
+        write_ppm(img_path, gen_saliency_task(9, 1).samples[0].image)
+        arrays = ad.load_checkpoint(trained / "model.ckpt")
+        arrays[weight][...] = 1e308
+        ckpt = tmp_path / "big.ckpt"
+        ad.save_checkpoint(ckpt, arrays)
+        out = tmp_path / "pred.out"
+        assert run(["predict", str(img_path), "--ckpt", str(ckpt),
+                    "--config", str(trained / "config.txt"),
+                    "--prompt", f"INPUT_TYPE: natural image OUTPUT_TYPE: {output}",
+                    "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: non-finite values produced by {op}"]
+        assert not out.exists()
 
     def test_score_stdout_matches_file(self, trained, tmp_path, capsys):
         img_path = tmp_path / "img.ppm"

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from uniar import autodiff as ad
 from uniar import model as M
 from uniar.codec import decode_robust, encode_target, quantize
-from uniar.errors import ParseError, ValidationError
+from uniar.errors import NumericError, ParseError, ValidationError
 from uniar.types import GrayMap, ImageGrid, PromptSpec, Sample, Scanpath
 
 from oracles import grad_check
@@ -621,3 +623,65 @@ def test_params_checkpoint_config_mismatch(tmp_path):
     M.save_params(path, params)
     with pytest.raises(ValidationError):
         M.load_params(path, CFG)
+
+
+# ---------------------------------------------------------------------------
+# finiteness boundaries: finite weights that overflow one op
+
+
+def overflowing(name, cfg=SMALL):
+    params = M.init_params(cfg, seed=0)
+    params[name].data[...] = 1e308
+    return params
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("weight,boundary,op", [
+    ("patch_proj.w", "encoder", "matmul"),
+    ("heat.read1.w", "heatmap", "conv2d"),
+    ("rate.fc2.w", "rating", "matmul"),
+    ("out.w", "logits", "matmul"),
+])
+def test_inference_boundary_names_the_overflowing_op(weight, boundary, op):
+    rng = np.random.default_rng(40)
+    img = rand_image(rng, SMALL.image_size)
+    params = overflowing(weight)
+    calls = {
+        "encoder": lambda: M.encode_inputs(img, heat_prompt(), params, SMALL),
+        "heatmap": lambda: M.predict_heatmap(img, heat_prompt(), params, SMALL),
+        "rating": lambda: M.predict_rating(img, score_prompt(), params, SMALL),
+        "logits": lambda: M.scanpath_generate(
+            M.encode_inputs(img, path_prompt(), params, SMALL), params, SMALL),
+    }
+    with pytest.raises(NumericError, match=f"non-finite values produced by {op}$"):
+        calls[boundary]()
+    assert ad._CHECK_OPS is False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_head_overflow_mapped_back_to_finite_is_not_reported():
+    # conv1 overflows, layer norm turns the infinities into NaN and relu
+    # maps NaN to 0: the heatmap leaving the model is finite, so no check
+    # fires (op outputs are only checked inside a boundary's re-run)
+    rng = np.random.default_rng(41)
+    img = rand_image(rng, SMALL.image_size)
+    out = M.predict_heatmap(img, heat_prompt(), overflowing("heat.conv1.w"), SMALL)
+    assert np.isfinite(out.values).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("weight,weights,op", [
+    ("out.w", SMALL.loss_weights, "matmul"),
+    (None, (1e308, 1e308, 1e308), "scale"),
+])
+def test_training_loss_boundary_names_the_op_before_any_update(weight, weights, op):
+    rng = np.random.default_rng(42)
+    batch = make_batch(rng, SMALL, ["scanpath", "heatmap", "score"])
+    cfg = dataclasses.replace(SMALL, loss_weights=weights)
+    params = overflowing(weight, cfg) if weight else M.init_params(cfg, seed=0)
+    before = {k: p.data.copy() for k, p in params.items()}
+    state = ad.adam_init(params)
+    with pytest.raises(NumericError, match=f"non-finite values produced by {op}$"):
+        M.train_step(batch, params, state, cfg)
+    assert state["t"] == 0
+    assert all(np.array_equal(params[k].data, before[k]) for k in params)
