@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import NumericError, ValidationError
 from ..types import FixationSet, GrayMap, fixation_pixels
+from .rating import _pearson
 
 
 def _check_same_shape(pred: GrayMap, gt: GrayMap) -> None:
@@ -45,15 +46,7 @@ def _as_distribution(m: GrayMap, what: str) -> np.ndarray:
 def cc(pred: GrayMap, gt: GrayMap) -> float:
     """Pearson correlation between two maps over pixels."""
     _check_same_shape(pred, gt)
-    p = pred.values.ravel()
-    g = gt.values.ravel()
-    pc = p - p.mean()
-    gc = g - g.mean()
-    sp = math.sqrt(float(np.mean(pc * pc)))
-    sg = math.sqrt(float(np.mean(gc * gc)))
-    if sp == 0.0 or sg == 0.0:
-        raise NumericError("correlation undefined for a constant map")
-    return float(np.mean(pc * gc)) / (sp * sg)
+    return _pearson(pred.values.ravel(), gt.values.ravel(), "a constant map")
 
 
 def kld(pred: GrayMap, gt: GrayMap, eps: float = 1e-12) -> float:

@@ -20,13 +20,14 @@ def _paired(pred, obs):
     return p, o
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+def _pearson(x: np.ndarray, y: np.ndarray, what: str = "constant scores") -> float:
+    """Population Pearson correlation; ``what`` names a constant side."""
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt(np.mean(xc * xc)))
     sy = float(np.sqrt(np.mean(yc * yc)))
     if sx == 0.0 or sy == 0.0:
-        raise NumericError("correlation undefined for constant scores")
+        raise NumericError(f"correlation undefined for {what}")
     return float(np.mean(xc * yc)) / (sx * sy)
 
 

@@ -597,50 +597,28 @@ def scanpath_generate(fused, params, cfg: ModelConfig, max_tokens=None) -> str:
 # ---------------------------------------------------------------------------
 # losses and training
 
-def combined_loss(seq_loss, heat_loss, score_loss, weights):
-    """w_seq*seq + w_heat*heat + w_score*score as a scalar Tensor.
-    Components may be scalars or Tensors; None means the batch had no
-    samples of that kind and contributes zero."""
-    if len(tuple(weights)) != 3:
-        raise ValidationError("weights must be (w_seq, w_heat, w_score)")
-    total = None
-    for comp, w in zip((seq_loss, heat_loss, score_loss), weights):
-        if comp is None:
-            continue
-        t = comp if isinstance(comp, Tensor) else Tensor(np.asarray(comp, dtype=np.float64))
-        if t.data.size != 1:
-            raise ValidationError("loss components must be scalars")
-        if float(t.data.reshape(())) < 0:
-            raise ValidationError(f"negative loss component: {float(t.data.reshape(()))}")
-        term = ad.scale(t, float(w))
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        return Tensor(0.0)
-    return total
-
-
 def _batch_loss(batch, params, cfg: ModelConfig):
-    """Combined loss averaged over the batch. Samples are grouped by
-    target kind; each sample contributes its own mean-reduced loss."""
+    """Mean of a (B,) vector of per-sample losses, each scaled by its
+    kind's loss weight. Each kind (scanpath, heatmap, score) runs as one
+    batch: token cross-entropy averaged over the sample's own tokens,
+    pixel-wise l2 averaged over its image's unpadded region, or the
+    squared score error."""
     if not batch:
         raise ValidationError("empty batch")
     order = {"scanpath": 0, "heatmap": 1, "score": 2}
     samples = sorted(batch, key=lambda s: order[s.kind])
-    b = len(samples)
+    kinds = [s.kind for s in samples]
+    n_seq, n_heat = kinds.count("scanpath"), kinds.count("heatmap")
+    w_seq, w_heat, w_score = cfg.loss_weights
 
     images = np.stack([pad_image(s.image, cfg.image_size) for s in samples])
     prompt_ids, prompt_mask = _prompt_batch([s.prompt for s in samples], cfg)
     fused, key_mask = _encode_batch(images, prompt_ids, prompt_mask, params, cfg)
 
-    kinds = [s.kind for s in samples]
-    seq_term = heat_term = score_term = None
-
-    n_seq = kinds.count("scanpath")
+    per_sample = []
     if n_seq:
-        group = samples[:n_seq]
-        enc = ad.narrow(fused, 0, 0, n_seq)
-        enc_mask = key_mask[:n_seq]
-        targets = [target_token_ids(encode_target(quantize(s.target))) for s in group]
+        targets = [target_token_ids(encode_target(quantize(s.target)))
+                   for s in samples[:n_seq]]
         lmax = max(t.size for t in targets)
         if lmax > cfg.max_output_tokens:
             raise ValidationError(
@@ -653,40 +631,31 @@ def _batch_loss(batch, params, cfg: ModelConfig):
             dec_in[i, 1:ids.size] = ids[:-1]
             labels[i, :ids.size] = ids
             weight[i, :ids.size] = 1.0 / ids.size
-        logits = _decode_batch(enc, enc_mask, dec_in, params, cfg)
+        logits = _decode_batch(ad.narrow(fused, 0, 0, n_seq), key_mask[:n_seq], dec_in,
+                               params, cfg)
         ce = ad.cross_entropy_with_logits(logits, labels)
-        seq_term = ad.scale(ad.tsum(ad.mul(ce, Tensor(weight))), 1.0 / b)
+        per_sample.append(ad.scale(ad.tsum(ad.mul(ce, Tensor(weight)), axis=1), w_seq))
 
     i0 = n_seq
-    n_heat = kinds.count("heatmap")
     if n_heat:
-        group = samples[i0:i0 + n_heat]
-        toks = _image_tokens(ad.narrow(fused, 0, i0, n_heat), cfg)
-        preds = _heatmap_batch(toks, params, cfg)
-        acc = None
-        for i, s in enumerate(group):
-            gt = s.target
-            if (gt.width, gt.height) != (s.image.width, s.image.height):
-                raise ValidationError(
-                    f"heatmap target {gt.width}x{gt.height} does not match its "
-                    f"image {s.image.width}x{s.image.height}")
-            region = ad.narrow(ad.narrow(ad.narrow(preds, 0, i, 1), 1, 0, gt.height),
-                               2, 0, gt.width)
-            # pixel-wise l2, mean over the unpadded region
-            err = ad.mean(ad.squared_error(region, Tensor(gt.values[None])))
-            acc = err if acc is None else ad.add(acc, err)
-        heat_term = ad.scale(acc, 1.0 / b)
+        preds = _heatmap_batch(_image_tokens(ad.narrow(fused, 0, i0, n_heat), cfg), params, cfg)
+        gt = np.zeros(preds.shape)
+        weight = np.zeros(preds.shape)
+        for i, sample in enumerate(samples[i0:i0 + n_heat]):
+            h, w = sample.target.height, sample.target.width
+            gt[i, :h, :w] = sample.target.values
+            weight[i, :h, :w] = 1.0 / (h * w)
+        err = ad.mul(ad.squared_error(preds, Tensor(gt)), Tensor(weight))
+        per_sample.append(ad.scale(ad.tsum(err, axis=(1, 2)), w_heat))
 
     i0 += n_heat
-    n_score = kinds.count("score")
+    n_score = len(samples) - i0
     if n_score:
-        group = samples[i0:]
-        toks = _image_tokens(ad.narrow(fused, 0, i0, n_score), cfg)
-        preds = _rating_batch(toks, params, cfg)
-        obs = np.array([s.target.score for s in group])
-        score_term = ad.scale(ad.tsum(ad.squared_error(preds, Tensor(obs))), 1.0 / b)
+        preds = _rating_batch(_image_tokens(ad.narrow(fused, 0, i0, n_score), cfg), params, cfg)
+        obs = np.array([sample.target.score for sample in samples[i0:]])
+        per_sample.append(ad.scale(ad.squared_error(preds, Tensor(obs)), w_score))
 
-    return combined_loss(seq_term, heat_term, score_term, cfg.loss_weights)
+    return ad.mean(ad.concat(per_sample))
 
 
 def train_step(batch, params, opt_state, cfg: ModelConfig, lr: float = 1e-3):

@@ -358,6 +358,11 @@ class Sample:
         if kind == "heatmap":
             if not isinstance(self.target, GrayMap):
                 raise ValidationError("heatmap output type requires a GrayMap target")
+            gt, img = self.target, self.image
+            if (gt.width, gt.height) != (img.width, img.height):
+                raise ValidationError(
+                    f"heatmap target {gt.width}x{gt.height} does not match its "
+                    f"image {img.width}x{img.height}")
         elif kind == "scanpath":
             if not isinstance(self.target, Scanpath):
                 raise ValidationError("scanpath output type requires a Scanpath target")

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -606,6 +607,23 @@ class TestPredict:
         assert capsys.readouterr().err.splitlines() == [
             f"error: non-finite values produced by {op}"]
         assert not out.exists()
+
+    def test_overflow_warnings_do_not_reach_stderr(self, trained, tmp_path, capsys):
+        img_path = tmp_path / "img.ppm"
+        write_ppm(img_path, gen_saliency_task(9, 1).samples[0].image)
+        arrays = ad.load_checkpoint(trained / "model.ckpt")
+        arrays["heat.read1.w"][...] = 1e308
+        ckpt = tmp_path / "big.ckpt"
+        ad.save_checkpoint(ckpt, arrays)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["predict", str(img_path), "--ckpt", str(ckpt),
+                        "--config", str(trained / "config.txt"),
+                        "--prompt", "INPUT_TYPE: natural image OUTPUT_TYPE: saliency heatmap",
+                        "--out", str(tmp_path / "pred.pgm")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite values produced by conv2d"]
 
     def test_score_stdout_matches_file(self, trained, tmp_path, capsys):
         img_path = tmp_path / "img.ppm"

@@ -990,6 +990,14 @@ class TestHandleIO:
         back = load_handle(d)
         assert np.array_equal(back.samples[0].target.values, h.samples[0].target.values)
 
+    def test_map_of_another_size_than_its_image_rejected_at_load(self, tmp_path):
+        d = tmp_path / "h"
+        save_handle(d, gen_saliency_task(6, 2))
+        write_grid(d / "maps" / "000001.grid", GrayMap(32, 32, np.full((32, 32), 0.5)))
+        with pytest.raises(ValidationError, match="heatmap target 32x32 does not match its "
+                                                  "image 64x64"):
+            load_handle(d)
+
     def test_missing_target_rejected(self, tmp_path):
         h = gen_saliency_task(7, 2)
         d = tmp_path / "h"

@@ -39,7 +39,7 @@ PROVENANCE = {
 }
 PINNED_SHA256 = {
     "model.ckpt": "007ce21d88742b7051d5befe43edfb191e2f8ac4cd2a91fc570b3150e441e7ae",
-    "train_log.csv": "bbbdc91ffd594807bceeedc39495a0c1f0f4f14cee5aafa23c4b80c5e25369cf",
+    "train_log.csv": "67c6e7fd09725bf1a21fc51e622f3ff005ca772e07e00eddf8b743583cc3ebd2",
     "heatmap.pgm": "8bd317f2d0adb7c1533ce6de57c733ce0e36461c50107a282629df82b9048081",
 }
 

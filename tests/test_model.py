@@ -475,21 +475,27 @@ def test_prompt_conditioning_changes_logits():
 
 
 # ---------------------------------------------------------------------------
-# combined loss
+# batch loss
 
 
-def test_combined_loss_arithmetic():
-    out = M.combined_loss(2.0, 0.001, 0.01, (1.0, 500.0, 50.0))
-    assert out.item() == 3.0
-    assert M.combined_loss(0.0, 0.0, 0.0, (1.0, 500.0, 50.0)).item() == 0.0
-    assert M.combined_loss(None, 0.002, None, (1.0, 500.0, 50.0)).item() == 1.0
-
-
-def test_combined_loss_rejects_negatives():
-    with pytest.raises(ValidationError):
-        M.combined_loss(-0.1, 0.0, 0.0, (1.0, 500.0, 50.0))
-    with pytest.raises(ValidationError):
-        M.combined_loss(0.0, 0.0, 0.0, (1.0, 2.0))
+def test_batch_loss_weights_and_averages_per_sample_losses():
+    # zero weights: uniform logits, every heatmap pixel and score at 0.5
+    params = zeroed(M.init_params(CFG, seed=0))
+    rng = np.random.default_rng(30)
+    w_seq, w_heat, w_score = CFG.loss_weights
+    gt = rng.uniform(size=(37, 40))
+    obs = 0.2
+    batch = [
+        Sample(rand_image(rng, 64), path_prompt(),
+               Scanpath(frame=(64, 64), fixations=[[10, 10], [50, 40]])),
+        Sample(ImageGrid(40, 37, rng.uniform(size=(37, 40, 3))), heat_prompt(),
+               GrayMap(40, 37, gt, kind="unit-range")),
+        Sample(rand_image(rng, 64), score_prompt(), obs),
+    ]
+    terms = [w_seq * np.log(M.VOCAB_SIZE), w_heat * np.mean((0.5 - gt) ** 2),
+             w_score * (0.5 - obs) ** 2]
+    assert abs(M._batch_loss(batch, params, CFG).item() - sum(terms) / 3) < 1e-12
+    assert abs(M._batch_loss(batch[:2], params, CFG).item() - sum(terms[:2]) / 2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -562,16 +568,6 @@ def test_empty_batch_rejected():
     params = M.init_params(SMALL, seed=0)
     with pytest.raises(ValidationError):
         M._batch_loss([], params, SMALL)
-
-
-def test_heat_target_dims_must_match_image():
-    rng = np.random.default_rng(28)
-    img = rand_image(rng, SMALL.image_size)
-    gm = GrayMap(8, 8, np.full((8, 8), 0.25), kind="unit-range")
-    batch = [Sample(img, heat_prompt(), gm)]
-    params = M.init_params(SMALL, seed=0)
-    with pytest.raises(ValidationError):
-        M._batch_loss(batch, params, SMALL)
 
 
 def test_run_training_logs_and_determinism():

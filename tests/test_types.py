@@ -268,6 +268,11 @@ class TestSamplesAndHandles:
         with pytest.raises(ValidationError):
             Sample(img, PromptSpec("natural image", "aesthetics score"), 1.5)
 
+    def test_heat_target_dims_must_match_image(self):
+        gm = GrayMap(8, 8, np.full((8, 8), 0.25), kind="unit-range")
+        with pytest.raises(ValidationError, match="heatmap target 8x8 does not match its image 4x4"):
+            Sample(self._image(), PromptSpec("natural image", "saliency heatmap"), gm)
+
     def test_score_targets_become_rating_samples(self):
         img = self._image()
         prompt = PromptSpec("natural image", "aesthetics score")
