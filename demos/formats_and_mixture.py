@@ -24,7 +24,8 @@ from uniar.data import (
 from uniar.errors import ParseError
 from uniar.types import GrayMap
 
-root = Path(tempfile.mkdtemp(prefix="uniar_demo_"))
+workdir = tempfile.TemporaryDirectory(prefix="uniar_demo_")
+root = Path(workdir.name)
 print("working under", root)
 
 # ------------------------------------------------------ map files
@@ -41,7 +42,7 @@ back = read_pgm(root / "m.pgm")
 print(f"16-bit pgm, quantized round trip: max err "
       f"{np.abs(back.values - m.values).max():.2e} (bound {0.5 / 65535:.2e})")
 
-# parse errors carry the line and the character column of the bad token
+# parse errors carry the file, the line and the character column of the bad token
 (root / "bad.grid").write_text("UARGRID 3 2 float\n0.1 0.5 1.0\n0.0 oops 1.0\n")
 try:
     read_grid(root / "bad.grid")
@@ -64,6 +65,7 @@ print(f"reloaded {len(back.samples)} samples; maps travel as 16-bit pgm, "
       f"max err {err:.1e}")
 print("(write a maps/<id>.grid next to the pgm for an exact copy; "
       "the loader prefers it)")
+workdir.cleanup()
 
 # ---------------------------------------------------- equal-rate mixture
 

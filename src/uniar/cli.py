@@ -32,12 +32,13 @@ from .data import (
     load_handle,
     mixture_next,
     mixture_start,
-    read_grid,
+    read_fixations,
     read_map,
     read_ppm,
     read_ratings,
     read_scanpath,
     read_scanpaths,
+    read_segmentation,
     write_pgm,
     write_ppm,
     write_scanpaths,
@@ -72,7 +73,6 @@ from .types import (
     ImageGrid,
     PromptSpec,
     Scanpath,
-    SegmentationMap,
     fixation_pixels,
     parse_prompt,
 )
@@ -197,21 +197,6 @@ def _pmap(fn, tasks, jobs):
 
 
 # ---------------------------------------------------------------------------
-# shared directory plumbing
-
-def _pooled_fixations(path) -> FixationSet:
-    """All fixations of all observers in one file, order preserved."""
-    entries = read_scanpaths(path)
-    if not entries:
-        raise ValidationError(f"{path}: no scanpaths")
-    frame = entries[0][0].frame
-    for p, _ in entries[1:]:
-        if p.frame != frame:
-            raise ValidationError(f"{path}: observers disagree on the frame")
-    return FixationSet(frame, np.vstack([p.fixations for p, _ in entries]))
-
-
-# ---------------------------------------------------------------------------
 # eval-heatmap
 
 HEATMAP_HEADERS = ("cc+", "kld-", "auc_judd+", "sauc+", "nss+", "sim+", "rmse-", "r2+")
@@ -242,7 +227,7 @@ def _cmd_eval_heatmap(args) -> None:
     gts = list_files(args.gt, MAP_EXTS)
     if not preds:
         raise ValidationError(f"{args.pred}: no .pgm or .grid maps")
-    fixes = {sid: _pooled_fixations(path)
+    fixes = {sid: read_fixations(path)
              for sid, path in (list_files(args.fix, (".jsonl",)) if args.fix else {}).items()}
     # every file's points in frame-normalized units, pooled in file order;
     # a sample's negatives are the pool without its own rows
@@ -281,9 +266,7 @@ def _scanpath_one(task):
     seq = sequence_score(pred, gt, clusters)
     ss = fed = None
     if seg_path is not None:
-        seg = read_grid(seg_path)
-        if not isinstance(seg, SegmentationMap):
-            raise ValidationError(f"{seg_path}: segmentation must be an int grid")
+        seg = read_segmentation(seg_path)
         ss = semss(pred, gt, seg)
         fed = float(semfed(pred, gt, seg))
     mm = multimatch(pred, gt)
@@ -312,8 +295,6 @@ def _cmd_eval_scanpath(args) -> None:
 
 def _cmd_eval_rating(args) -> None:
     pairs = read_ratings(args.pairs)
-    if not pairs:
-        raise ValidationError(f"{args.pairs}: no rating pairs")
     pred = [p for _, p, _ in pairs]
     obs = [o for _, _, o in pairs]
     _report([(os.path.basename(args.pairs), [srcc(pred, obs), plcc(pred, obs)])],
@@ -570,7 +551,7 @@ def run(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValidationError, OSError, UnicodeDecodeError) as e:
+    except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

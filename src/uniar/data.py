@@ -13,13 +13,15 @@ maps, binary PPM (P6) for images, JSON lines for scanpaths, CSV tables
 for rating pairs, scores and reports, `key = value` text for handle
 metadata and model configs. This module is the only one that knows a
 file format or a directory layout; the CLI and the model read and write
-through it. All writers are deterministic byte-for-byte.
+through it. All writers are deterministic byte-for-byte. `_read_input`
+is the one place an input file is opened and decoded; `reads_file` puts
+its path on any ParseError raised while a reader parses it.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import functools
 import json
 import math
 import os
@@ -32,6 +34,7 @@ from .errors import NumericError, ParseError, ValidationError
 from .types import (
     INPUT_TYPES,
     DatasetHandle,
+    FixationSet,
     GrayMap,
     ImageGrid,
     PromptSpec,
@@ -253,6 +256,54 @@ def mixture_next(cfg: MixtureConfig, rng_state: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
+# input files
+
+def _read_input(path, binary=False):
+    """The one place an input file is opened. Returns its bytes, or its
+    UTF-8 text as lines that keep their ends, cut at `\\n`, `\\r` and
+    `\\r\\n` only. A file that cannot be read, or bytes that are not UTF-8,
+    raise ParseError, the latter at the line and column where they start."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise ParseError(e.strerror or str(e))
+    if binary:
+        return raw
+    try:
+        text, bad = raw.decode("utf-8"), None
+    except UnicodeDecodeError as e:
+        # a sentinel character keeps the line the bad bytes start on
+        text, bad = raw[:e.start].decode("utf-8") + "x", e
+    lines, run = [], []
+    for piece in text.splitlines(keepends=True):
+        run.append(piece)
+        if piece[-1] in "\r\n":  # a form feed, \x85 and the like end no line
+            lines.append("".join(run))
+            run = []
+    if run:
+        lines.append("".join(run))
+    if bad is not None:
+        raise ParseError(f"invalid UTF-8: {bad.reason}", line=len(lines), column=len(lines[-1]))
+    return lines
+
+
+def reads_file(reader):
+    """Decorator for a reader whose first argument is the path of the file
+    it parses: a ParseError that leaves it naming no file gets that path,
+    so a nested read (read_map calling read_grid) names the file once."""
+    @functools.wraps(reader)
+    def named(path, *args):
+        try:
+            return reader(path, *args)
+        except ParseError as e:
+            if e.path is None:
+                e.path = path
+            raise
+    return named
+
+
+# ---------------------------------------------------------------------------
 # text grids
 
 _GRID_MAGIC = "UARGRID"
@@ -302,36 +353,6 @@ def _bad_row(line: str, lineno: int, mode: str) -> ParseError:
     raise AssertionError(f"line {lineno}: row failed with no bad token")
 
 
-def _decode_utf8(raw: bytes, lines) -> str:
-    """``raw`` as text. Bytes that are not UTF-8 raise ParseError at the
-    line and column where they start, with lines cut by ``lines``."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        # a sentinel character keeps the line the bad bytes start on
-        head = lines(raw[:e.start].decode("utf-8") + "x")
-        raise ParseError(f"invalid UTF-8: {e.reason}", line=len(head), column=len(head[-1]))
-
-
-def _utf8_lines(path):
-    """The file's lines, cut by str.splitlines; bytes that are not UTF-8
-    raise ParseError at the line and column where they start."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return _decode_utf8(raw, str.splitlines).splitlines()
-
-
-def _open_utf8(path, newline=None):
-    """The file as a text stream that cuts lines as ``open(path,
-    newline=newline)`` does. The whole file is checked first: bytes that
-    are not UTF-8 raise ParseError at the line and column where they
-    start, counted the same way."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    _decode_utf8(raw, lambda text: io.StringIO(text, newline=newline).readlines())
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=newline)
-
-
 def write_key_values(path, pairs) -> None:
     """One `key = value` line per (key, value) pair, in order; the
     inverse of read_key_values. A key or value that would not read back
@@ -349,30 +370,32 @@ def write_key_values(path, pairs) -> None:
         fh.write("".join(lines))
 
 
+@reads_file
 def read_key_values(path, keys, kind: str):
-    """Yield the `key = value` lines of a file as (key, value, line
-    number) triples in file order; blank lines and #-comments are
-    skipped. A line without a key and `=`, or a key outside ``keys``,
-    raises ParseError (``kind`` names the file in the unknown-key
-    message)."""
-    with _open_utf8(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep or not key:
-                raise ParseError("expected `key = value`", line=lineno)
-            if key not in keys:
-                raise ParseError(f"unknown {kind} key {key!r}", line=lineno)
-            yield key, value, lineno
+    """The `key = value` lines of a file as (key, value, line number)
+    triples in file order; blank lines and #-comments are skipped. A
+    line without a key and `=`, or a key outside ``keys``, raises
+    ParseError (``kind`` names the file's kind in the unknown-key message)."""
+    out = []
+    for lineno, raw in enumerate(_read_input(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not key:
+            raise ParseError("expected `key = value`", line=lineno)
+        if key not in keys:
+            raise ParseError(f"unknown {kind} key {key!r}", line=lineno)
+        out.append((key, value, lineno))
+    return out
 
 
+@reads_file
 def read_grid(path):
     """Inverse of write_grid. Malformed input, undecodable UTF-8
     included, raises ParseError naming the 1-based line and column of
     the offending token."""
-    lines = _utf8_lines(path)
+    lines = _read_input(path)
     if not lines:
         raise ParseError("empty grid file", line=1, column=1)
     header = _tokens_with_columns(lines[0])
@@ -381,7 +404,7 @@ def read_grid(path):
         raise ParseError(f"expected {_GRID_MAGIC} magic", line=1, column=col)
     if len(header) < 4:
         raise ParseError("header needs `UARGRID <width> <height> <float|int>`",
-                         line=1, column=len(lines[0]) + 1)
+                         line=1, column=len(lines[0].rstrip("\r\n")) + 1)
     if len(header) > 4:
         raise ParseError("trailing tokens after grid mode", line=1, column=header[4][1])
     dims = []
@@ -407,7 +430,7 @@ def read_grid(path):
         toks = line.split()
         if len(toks) != width:
             cols = _tokens_with_columns(line)
-            col = cols[width][1] if len(cols) > width else len(line) + 1
+            col = cols[width][1] if len(cols) > width else len(line.rstrip("\r\n")) + 1
             raise ParseError(f"row has {len(toks)} values, expected {width}",
                              line=r + 2, column=col)
         if values is None:  # allocated once a row has shown the header's width is real
@@ -431,11 +454,11 @@ def read_grid(path):
 # ---------------------------------------------------------------------------
 # binary rasters
 
-def _pnm_header(buf: bytes, magic: bytes, path):
+def _pnm_header(buf: bytes, magic: bytes):
     """Parse `P5`/`P6`, then width/height/maxval with netpbm whitespace
     and # comment rules. Returns (width, height, maxval, raster offset)."""
     if buf[:2] != magic:
-        raise ParseError(f"{path}: expected {magic.decode()} magic")
+        raise ParseError(f"expected {magic.decode()} magic")
     pos, vals = 2, []
     while len(vals) < 3:
         while pos < len(buf) and buf[pos:pos + 1].isspace():
@@ -448,30 +471,30 @@ def _pnm_header(buf: bytes, magic: bytes, path):
         while pos < len(buf) and not buf[pos:pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ParseError(f"{path}: truncated header")
+            raise ParseError("truncated header")
         try:
             vals.append(int(buf[start:pos]))
         except ValueError:
-            raise ParseError(f"{path}: bad header token {buf[start:pos]!r}")
+            raise ParseError(f"bad header token {buf[start:pos]!r}")
     if pos >= len(buf):
-        raise ParseError(f"{path}: missing raster")
+        raise ParseError("missing raster")
     pos += 1  # single whitespace byte separates maxval from raster
     w, h, maxval = vals
     if w <= 0 or h <= 0:
-        raise ParseError(f"{path}: dimensions must be positive, got {w}x{h}")
+        raise ParseError(f"dimensions must be positive, got {w}x{h}")
     if not (0 < maxval < 65536):
-        raise ParseError(f"{path}: maxval must lie in [1, 65535], got {maxval}")
+        raise ParseError(f"maxval must lie in [1, 65535], got {maxval}")
     return w, h, maxval, pos
 
 
-def _pnm_raster(buf, pos, count, maxval, path):
+def _pnm_raster(buf, pos, count, maxval):
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     need = count * dtype.itemsize
     if len(buf) - pos < need:
-        raise ParseError(f"{path}: raster truncated ({len(buf) - pos} of {need} bytes)")
+        raise ParseError(f"raster truncated ({len(buf) - pos} of {need} bytes)")
     raw = np.frombuffer(buf[pos:pos + need], dtype=dtype).astype(np.float64)
     if raw.max(initial=0.0) > maxval:
-        raise ParseError(f"{path}: raster value exceeds maxval {maxval}")
+        raise ParseError(f"raster value exceeds maxval {maxval}")
     return raw / maxval
 
 
@@ -487,11 +510,11 @@ def write_pgm(path, gmap: GrayMap) -> None:
         fh.write(raster.tobytes())
 
 
+@reads_file
 def read_pgm(path) -> GrayMap:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    w, h, maxval, pos = _pnm_header(buf, b"P5", path)
-    values = _pnm_raster(buf, pos, w * h, maxval, path).reshape(h, w)
+    buf = _read_input(path, binary=True)
+    w, h, maxval, pos = _pnm_header(buf, b"P5")
+    values = _pnm_raster(buf, pos, w * h, maxval).reshape(h, w)
     return GrayMap(w, h, values, kind="unit-range")
 
 
@@ -503,11 +526,11 @@ def write_ppm(path, image: ImageGrid) -> None:
         fh.write(raster.tobytes())
 
 
+@reads_file
 def read_ppm(path) -> ImageGrid:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    w, h, maxval, pos = _pnm_header(buf, b"P6", path)
-    pixels = _pnm_raster(buf, pos, w * h * 3, maxval, path).reshape(h, w, 3)
+    buf = _read_input(path, binary=True)
+    w, h, maxval, pos = _pnm_header(buf, b"P6")
+    pixels = _pnm_raster(buf, pos, w * h * 3, maxval).reshape(h, w, 3)
     return ImageGrid(w, h, pixels)
 
 
@@ -529,13 +552,23 @@ def list_files(dirpath, exts) -> dict:
             for want in reversed(exts) for stem, ext in split if ext == want}
 
 
+@reads_file
 def read_map(path) -> GrayMap:
     """A float map from a `.grid` (by extension) or a PGM file; an int
     grid is rejected."""
     m = read_grid(path) if os.path.splitext(path)[1] == ".grid" else read_pgm(path)
     if not isinstance(m, GrayMap):
-        raise ValidationError(f"{path}: expected a float map, found an int grid")
+        raise ParseError("expected a float map, found an int grid")
     return m
+
+
+@reads_file
+def read_segmentation(path) -> SegmentationMap:
+    """An int grid; a float grid is rejected."""
+    seg = read_grid(path)
+    if not isinstance(seg, SegmentationMap):
+        raise ParseError("segmentation must be an int grid")
+    return seg
 
 
 # ---------------------------------------------------------------------------
@@ -563,43 +596,57 @@ def write_scanpaths(path, items) -> None:
 _SCANPATH_FIELDS = ("frame", "fixations", "input_type", "output_type", "query")
 
 
+@reads_file
 def read_scanpaths(path):
     """Inverse of write_scanpaths; returns a list of (Scanpath,
     PromptSpec). Structural violations (empty fixation list, point
     outside the frame, unknown prompt type) are rejected with the line
     number attached."""
     out = []
-    with _open_utf8(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"bad JSON: {e.msg}", line=lineno, column=e.colno)
-            if not isinstance(obj, dict):
-                raise ParseError("each line must hold a JSON object", line=lineno)
-            missing = [k for k in _SCANPATH_FIELDS if k not in obj]
-            if missing:
-                raise ParseError(f"missing fields: {', '.join(missing)}", line=lineno)
-            try:
-                scanpath = Scanpath(tuple(obj["frame"]), np.asarray(obj["fixations"],
-                                                                    dtype=np.float64))
-                prompt = PromptSpec(obj["input_type"], obj["output_type"], obj["query"])
-            except (ValidationError, TypeError, ValueError) as e:
-                raise ParseError(str(e), line=lineno)
-            out.append((scanpath, prompt))
+    for lineno, raw in enumerate(_read_input(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"bad JSON: {e.msg}", line=lineno, column=e.colno)
+        if not isinstance(obj, dict):
+            raise ParseError("each line must hold a JSON object", line=lineno)
+        missing = [k for k in _SCANPATH_FIELDS if k not in obj]
+        if missing:
+            raise ParseError(f"missing fields: {', '.join(missing)}", line=lineno)
+        try:
+            scanpath = Scanpath(tuple(obj["frame"]), np.asarray(obj["fixations"],
+                                                                dtype=np.float64))
+            prompt = PromptSpec(obj["input_type"], obj["output_type"], obj["query"])
+        except (ValidationError, TypeError, ValueError) as e:
+            raise ParseError(str(e), line=lineno)
+        out.append((scanpath, prompt))
     return out
 
 
+@reads_file
 def read_scanpath(path):
     """The one (Scanpath, PromptSpec) of a file that must hold exactly
     one scanpath line."""
     entries = read_scanpaths(path)
     if len(entries) != 1:
-        raise ValidationError(f"{path}: expected exactly one scanpath, found {len(entries)}")
+        raise ParseError(f"expected exactly one scanpath, found {len(entries)}")
     return entries[0]
+
+
+@reads_file
+def read_fixations(path) -> FixationSet:
+    """All fixations of all observers in one scanpath file, in file
+    order. The file must hold at least one scanpath, all in one frame."""
+    entries = read_scanpaths(path)
+    if not entries:
+        raise ParseError("no scanpaths")
+    frame = entries[0][0].frame
+    if any(p.frame != frame for p, _ in entries):
+        raise ParseError("observers disagree on the frame")
+    return FixationSet(frame, np.vstack([p.fixations for p, _ in entries]))
 
 
 # ---------------------------------------------------------------------------
@@ -615,34 +662,39 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+@reads_file
 def read_table(path, header, kind: str):
-    """Yield (id, values) for each row of a CSV table below its header,
-    in file order: the first field as text, the others as finite floats.
-    An empty file, another header, a row whose field count differs from
-    the header's, a bad number or bytes the csv module rejects (a field
-    over its size limit) raise ParseError at the physical line where the
-    first such row ends; ``kind`` names the file in the messages."""
-    with _open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader, None)
-            if first is None:
-                raise ParseError(f"empty {kind} file", line=1)
-            if tuple(first) != header:
-                raise ParseError(f"header must be {','.join(header)}", line=1)
-            for row in reader:
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} fields, got {len(row)}",
-                                     line=reader.line_num)
-                try:
-                    values = [float(v) for v in row[1:]]
-                except ValueError:
-                    raise ParseError(f"bad numeric field in {row!r}", line=reader.line_num)
-                if not all(map(math.isfinite, values)):
-                    raise ParseError(f"{kind} must be finite", line=reader.line_num)
-                yield row[0], values
-        except csv.Error as e:
-            raise ParseError(f"bad CSV: {e}", line=reader.line_num)
+    """One tuple per row of a CSV table below its header, in file
+    order: the first field as text, the others as finite floats.
+    An empty file, another header, no rows, a row whose field count
+    differs from the header's, a bad number or bytes the csv module
+    rejects (a field over its size limit) raise ParseError at the
+    physical line where the first such row ends; ``kind`` names what the
+    table holds in the messages."""
+    reader = csv.reader(_read_input(path))
+    out = []
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(f"empty {kind} file", line=1)
+        if tuple(first) != header:
+            raise ParseError(f"header must be {','.join(header)}", line=1)
+        for row in reader:
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                                 line=reader.line_num)
+            try:
+                values = [float(v) for v in row[1:]]
+            except ValueError:
+                raise ParseError(f"bad numeric field in {row!r}", line=reader.line_num)
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{kind} must be finite", line=reader.line_num)
+            out.append((row[0], *values))
+    except csv.Error as e:
+        raise ParseError(f"bad CSV: {e}", line=reader.line_num)
+    if not out:
+        raise ParseError("no rows below its header", line=2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +712,7 @@ def write_ratings(path, rows) -> None:
 def read_ratings(path):
     """Inverse of write_ratings; returns a list of (id, predicted,
     observed) with floats parsed and checked finite."""
-    return [(rid, pred, obs) for rid, (pred, obs) in read_table(path, RATING_HEADER, "ratings")]
+    return read_table(path, RATING_HEADER, "ratings")
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +721,12 @@ def read_ratings(path):
 _META_KEYS = ("name", "input_type", "output_type")
 
 
+@reads_file
 def _read_meta(path):
     meta = {key: value for key, value, _ in read_key_values(path, _META_KEYS, "meta")}
     missing = [k for k in _META_KEYS if k not in meta]
     if missing:
-        raise ParseError(f"meta.txt missing keys: {', '.join(missing)}")
+        raise ParseError(f"missing keys: {', '.join(missing)}")
     return meta
 
 
@@ -705,10 +758,7 @@ def save_handle(dirpath, handle: DatasetHandle) -> None:
 
 
 def _read_scores(path):
-    scores = {sid: score for sid, (score,) in read_table(path, ("id", "score"), "scores")}
-    if not scores:
-        raise ParseError("scores.csv has no rows below its header", line=2)
-    return scores
+    return dict(read_table(path, ("id", "score"), "scores"))
 
 
 def _normalize_scores(scores: dict) -> dict:

@@ -16,15 +16,20 @@ class ValidationError(UniarError):
 
 
 class ParseError(ValidationError):
-    """Malformed text input. Carries 1-based line and column when known."""
+    """Malformed input file. Carries the file's ``path`` and the 1-based
+    ``line`` and ``column`` when known, and prints as `PATH: line L,
+    column C: message` with the unknown parts left out."""
 
     def __init__(self, message, line=None, column=None):
-        if line is not None:
-            loc = f"line {line}" + (f", column {column}" if column is not None else "")
-            message = f"{loc}: {message}"
         super().__init__(message)
         self.line = line
         self.column = column
+        self.path = None  # data.reads_file sets it to the file being parsed
+
+    def __str__(self):
+        line = None if self.line is None else f"line {self.line}" + (
+            "" if self.column is None else f", column {self.column}")
+        return ": ".join(str(p) for p in (self.path, line, self.args[0]) if p is not None)
 
 
 class NumericError(UniarError):

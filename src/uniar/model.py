@@ -30,7 +30,7 @@ from .codec import (
     encode_target,
     quantize,
 )
-from .data import read_key_values, write_key_values
+from .data import read_key_values, reads_file, write_key_values
 from .errors import ParseError, ValidationError
 from .types import (
     INPUT_TYPES,
@@ -178,6 +178,7 @@ def write_config(path, cfg: ModelConfig) -> None:
                      + [("loss_weights", ",".join(repr(w) for w in cfg.loss_weights))])
 
 
+@reads_file
 def read_config(path) -> ModelConfig:
     """Parse `key = value` lines; unset keys keep their defaults, blank
     lines and #-comments are skipped."""

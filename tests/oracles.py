@@ -341,11 +341,13 @@ def grad_check(f, x, h: float = 1e-5, sample: int | None = None, seed: int = 0) 
 
 def read_grid_naive(path):
     """Token-at-a-time UARGRID reader: a regex match, a column and a
-    conversion per value, in reading order. Reads the file as text, so
-    bad UTF-8 leaks UnicodeDecodeError, and an int label outside int64
-    leaks OverflowError from the final array conversion."""
+    conversion per value, in reading order. Reads the file as text with
+    lines cut at `\\n`, `\\r` and `\\r\\n`, so bad UTF-8 leaks
+    UnicodeDecodeError, and an int label outside int64 leaks
+    OverflowError from the final array conversion. Its ParseErrors name
+    no file."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = [line.rstrip("\n") for line in fh]
 
     def tokens(line):
         return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]

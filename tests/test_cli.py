@@ -352,6 +352,14 @@ class TestEvalScanpath:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "line 2, column 127" in err[0] and "int64" in err[0]
 
+    def test_malformed_segmentation_error_names_the_file(self, dirs, capsys):
+        bad = dirs / "seg" / "1.grid"
+        bad.write_text("not a grid\n")
+        assert run(["eval-scanpath", "--pred", str(dirs / "pred"),
+                    "--gt", str(dirs / "gt"), "--seg", str(dirs / "seg")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: line 1, column 1: expected UARGRID magic"]
+
     def test_non_finite_frame_is_data_error(self, dirs, capsys):
         line = (dirs / "gt" / "1.jsonl").read_text()
         (dirs / "gt" / "1.jsonl").write_text(line.replace('"frame": [64, 64]',
@@ -399,7 +407,8 @@ class TestEvalRating:
         pairs.write_text("id,predicted,observed\n" + "a" * 200_000 + ",0.5,0.25\n")
         assert run(["eval-rating", "--pairs", str(pairs)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: line 2") and "field limit" in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: {pairs}: line 2")
+        assert "field limit" in err[0]
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +533,15 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not (tmp_path / "run").exists()
+
+    def test_train_on_truncated_image_names_the_file(self, tmp_path, capsys):
+        save_handle(tmp_path / "d", gen_rating_task(0, 2, size=16))
+        bad = tmp_path / "d" / "images" / "000001.ppm"
+        bad.write_bytes(bad.read_bytes()[:-1])
+        assert run(["train", "--data", str(tmp_path / "d"), "--steps", "1",
+                    "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: raster truncated (767 of 768 bytes)"]
 
 
 class TestPredict:

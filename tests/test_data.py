@@ -1,4 +1,8 @@
+import ast
 import dataclasses
+import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,6 +488,9 @@ def _mutate(raw: bytes, edits) -> bytes:
     return raw
 
 
+_split_lines = re.compile(r"\r\n|\r|\n").split  # the readers' one line rule
+
+
 def _outcome(reader, path):
     try:
         return reader(path), None
@@ -512,8 +519,10 @@ class TestGridMatchesOracle:
         path.write_bytes(raw)
         want, want_err = _outcome(read_grid_naive, path)
         got, got_err = _outcome(read_grid, path)
+        if isinstance(want_err, ParseError):
+            want_err.path = path  # the reader names its file; the oracle does not
         if isinstance(want_err, UnicodeDecodeError):
-            lines = raw.decode("utf-8", "surrogateescape").splitlines()
+            lines = _split_lines(raw.decode("utf-8", "surrogateescape"))
             line = next(i for i, text in enumerate(lines, 1)
                         if any("\udc80" <= c <= "\udcff" for c in text))
             column = next(i for i, c in enumerate(lines[line - 1], 1) if "\udc80" <= c <= "\udcff")
@@ -524,14 +533,14 @@ class TestGridMatchesOracle:
             assert isinstance(want_err, (OverflowError, ParseError))
             if isinstance(want_err, ParseError):
                 assert (got_err.line, got_err.column) < (want_err.line, want_err.column)
-            text = raw.decode("utf-8").splitlines()[got_err.line - 1]
+            text = _split_lines(raw.decode("utf-8"))[got_err.line - 1]
             label = int(text[got_err.column - 1:].split()[0])
             assert not -2**63 <= label < 2**63
             return
         if isinstance(got_err, ParseError) and "labels must be >= 0" in str(got_err):
             assert type(want_err) is ValidationError
             assert str(want_err) == "segmentation labels must be >= 0"
-            lines = raw.decode("utf-8").splitlines()
+            lines = _split_lines(raw.decode("utf-8"))
             text = lines[got_err.line - 1]
             assert -2**63 <= int(text[got_err.column - 1:].split()[0]) < 0
             before = lines[1:got_err.line - 1] + [text[:got_err.column - 1]]
@@ -739,6 +748,12 @@ class TestRatingFile:
         with pytest.raises(ParseError):
             read_ratings(p)
 
+    def test_header_only_rejected(self, tmp_path):
+        p = tmp_path / "r.csv"
+        write_ratings(p, [])
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: line 2: no rows below"):
+            read_ratings(p)
+
     @pytest.mark.parametrize("reader,text,count", [
         (read_ratings, "id,predicted,observed\nx,0.5\n", 2),
         (read_ratings, "id,predicted,observed\nx,0.5,0.25,1\n", 4),
@@ -813,7 +828,7 @@ def test_table_errors_name_the_physical_line(tmp_path):
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """One small valid file per reader, as bytes."""
+    """One small valid file per reader."""
     tmp_path = tmp_path_factory.mktemp("valid")
     files = {}
     files["ratings"] = tmp_path / "r.csv"
@@ -832,14 +847,24 @@ def valid_files(tmp_path_factory):
     write_config(files["config"], ModelConfig(image_size=40, embed_dim=16, heads=2))
     files["meta"] = tmp_path / "meta.txt"
     files["meta"].write_text("name = h\ninput_type = webpage\noutput_type = scanpath\n")
+    files["grid"] = tmp_path / "s.grid"
+    write_grid(files["grid"], SegmentationMap(3, 2, [[0, 1, 2], [3, 0, 1]]))
+    files["map"] = tmp_path / "m.grid"  # read_map picks the format by extension
+    write_grid(files["map"], GrayMap(2, 2, [[0.0, 0.5], [1.0, 1 / 3]]))
     for name, path in files.items():
         _READERS[name](path)  # each reads unedited
-    return {name: path.read_bytes() for name, path in files.items()}
+    return files
 
 
 _READERS = {"ratings": read_ratings, "scores": data._read_scores,
             "scanpaths": read_scanpaths, "pgm": read_pgm, "ppm": read_ppm,
-            "config": read_config, "meta": data._read_meta}
+            "config": read_config, "meta": data._read_meta,
+            "grid": read_grid, "map": data.read_map}
+
+
+def _assert_names_file_once(err, path):
+    assert err.path == path
+    assert str(err).startswith(f"{path}: ") and str(err).count(str(path)) == 1
 
 
 @pytest.mark.parametrize("name", sorted(_READERS))
@@ -847,13 +872,91 @@ _READERS = {"ratings": read_ratings, "scores": data._read_scores,
 @given(edits=_EDITS)
 def test_mutated_files_only_raise_uniar_errors(tmp_path_factory, valid_files, name, edits):
     """Byte edits and truncations of a valid file either read or raise a
-    UniarError; nothing else escapes a reader."""
-    path = tmp_path_factory.getbasetemp() / f"fuzz-{name}"
-    path.write_bytes(_mutate(valid_files[name], edits))
+    UniarError; nothing else escapes a reader, and a ParseError names the
+    file it was raised for, once."""
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{name}{valid_files[name].suffix}"
+    path.write_bytes(_mutate(valid_files[name].read_bytes(), edits))
     try:
         _READERS[name](path)
+    except ParseError as e:
+        _assert_names_file_once(e, path)
     except UniarError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# whole handle directories
+
+_HANDLE_EDITS = st.lists(st.tuples(st.sampled_from(["mutate", "delete", "add", "rename"]),
+                                   st.integers(0, 10**6), _EDITS), min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def saved_handles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("handles")
+    save_handle(root / "heatmap", gen_saliency_task(0, 2))
+    save_handle(root / "scanpath", gen_scanpath_task(0, 2))
+    save_handle(root / "score", gen_rating_task(0, 2, size=16))
+    return root
+
+
+@pytest.mark.parametrize("kind", ["heatmap", "scanpath", "score"])
+@settings(max_examples=60, deadline=None)
+@given(edits=_HANDLE_EDITS)
+def test_damaged_handles_only_raise_uniar_errors(tmp_path_factory, saved_handles, kind, edits):
+    """Files of a saved handle byte-edited, deleted, copied under a new
+    id or renamed so ids disagree: load_handle reads the handle or
+    raises a UniarError, and a ParseError names the file inside the
+    handle that it was raised for."""
+    d = tmp_path_factory.getbasetemp() / "fuzz-handle"
+    shutil.rmtree(d, ignore_errors=True)
+    shutil.copytree(saved_handles / kind, d)
+    for op, pick, byte_edits in edits:
+        files = sorted(p for p in d.rglob("*") if p.is_file())
+        if not files:
+            break
+        f = files[pick % len(files)]
+        if op == "mutate":
+            f.write_bytes(_mutate(f.read_bytes(), byte_edits))
+        elif op == "delete":
+            f.unlink()
+        elif op == "add":
+            shutil.copyfile(f, f.with_name("9" + f.name))
+        else:
+            f.rename(f.with_name("x" + f.name))
+    try:
+        load_handle(d)
+    except ParseError as e:
+        assert Path(e.path).is_relative_to(d)
+        _assert_names_file_once(e, e.path)
+    except UniarError:
+        pass
+
+
+def test_only_the_input_helper_opens_files_for_reading():
+    """`data._read_input` is the one function that opens an input file
+    (checkpoints aside, which `autodiff.load_checkpoint` reads), so
+    decoding and naming the file in errors have one owner."""
+    allowed = {("data.py", "_read_input"), ("autodiff.py", "load_checkpoint")}
+    src = Path(data.__file__).parent
+    found = []
+    for py in sorted(src.rglob("*.py")):
+        for fn in ast.walk(ast.parse(py.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef) or (py.name, fn.name) in allowed:
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if name in ("read_text", "read_bytes"):
+                    found.append(f"{py.name}:{call.lineno} {fn.name}")
+                elif name == "open":
+                    mode = call.args[1] if len(call.args) > 1 else next(
+                        (k.value for k in call.keywords if k.arg == "mode"), None)
+                    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                            and "r" not in mode.value and "+" not in mode.value):
+                        found.append(f"{py.name}:{call.lineno} {fn.name}")
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []  # a demo leaves no files behind
 
 
 def test_training_demo_imports_resolve():
