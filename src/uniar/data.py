@@ -26,6 +26,7 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ import numpy as np
 from .errors import NumericError, ParseError, ValidationError
 from .types import (
     INPUT_TYPES,
+    OUTPUT_TYPES,
     DatasetHandle,
     FixationSet,
     GrayMap,
@@ -353,6 +355,49 @@ def _bad_row(line: str, lineno: int, mode: str) -> ParseError:
     raise AssertionError(f"line {lineno}: row failed with no bad token")
 
 
+def _parse_rows(rows, shape, dtype):
+    """The data rows through numpy's C parser, or None where the row scan
+    must decide: a row that is not ASCII (numpy's int parser takes some
+    letters for digits), a parse that raises or warns, another shape (a
+    blank row is skipped, not an error) or a non-finite float."""
+    if not all(map(str.isascii, rows)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+    except (ValueError, OverflowError, Warning):
+        return None
+    if values.shape != shape or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _scan_rows(rows, width, mode, dtype):
+    """The data rows a row at a time with Python's int or float, the
+    reference for what a grid holds: the values, or the first error in
+    reading order at its line and column."""
+    convert = int if mode == "int" else float
+    values = None
+    # a whole row per step; columns are worked out only for a row that fails
+    for r, line in enumerate(rows):
+        toks = line.split()
+        if len(toks) != width:
+            cols = _tokens_with_columns(line)
+            col = cols[width][1] if len(cols) > width else len(line.rstrip("\r\n")) + 1
+            raise ParseError(f"row has {len(toks)} values, expected {width}",
+                             line=r + 2, column=col)
+        if values is None:  # allocated once a row has shown the header's width is real
+            values = np.empty((len(rows), width), dtype=dtype)
+        try:
+            values[r] = list(map(convert, toks))
+        except (ValueError, OverflowError):
+            raise _bad_row(line, r + 2, mode)
+        if mode == "float" and not np.isfinite(values[r]).all():
+            raise _bad_row(line, r + 2, mode)
+    return values
+
+
 def write_key_values(path, pairs) -> None:
     """One `key = value` line per (key, value) pair, in order; the
     inverse of read_key_values. A key or value that would not read back
@@ -392,9 +437,10 @@ def read_key_values(path, keys, kind: str):
 
 @reads_file
 def read_grid(path):
-    """Inverse of write_grid. Malformed input, undecodable UTF-8
-    included, raises ParseError naming the 1-based line and column of
-    the offending token."""
+    """Inverse of write_grid. The data rows go through numpy's parser;
+    the row scan reads any it refuses, so malformed input, undecodable
+    UTF-8 included, raises ParseError naming the 1-based line and column
+    of the offending token."""
     lines = _read_input(path)
     if not lines:
         raise ParseError("empty grid file", line=1, column=1)
@@ -423,24 +469,11 @@ def read_grid(path):
     if len(lines) < 1 + height:
         raise ParseError(f"expected {height} data rows, found {len(lines) - 1}",
                          line=len(lines) + 1, column=1)
-    convert, dtype = (int, np.int64) if mode == "int" else (float, np.float64)
-    values = None
-    # a whole row per step; columns are worked out only for a row that fails
-    for r, line in enumerate(lines[1:1 + height]):
-        toks = line.split()
-        if len(toks) != width:
-            cols = _tokens_with_columns(line)
-            col = cols[width][1] if len(cols) > width else len(line.rstrip("\r\n")) + 1
-            raise ParseError(f"row has {len(toks)} values, expected {width}",
-                             line=r + 2, column=col)
-        if values is None:  # allocated once a row has shown the header's width is real
-            values = np.empty((height, width), dtype=dtype)
-        try:
-            values[r] = list(map(convert, toks))
-        except (ValueError, OverflowError):
-            raise _bad_row(line, r + 2, mode)
-        if mode == "float" and not np.isfinite(values[r]).all():
-            raise _bad_row(line, r + 2, mode)
+    rows = lines[1:1 + height]
+    dtype = np.int64 if mode == "int" else np.float64
+    values = _parse_rows(rows, (height, width), dtype)
+    if values is None:
+        values = _scan_rows(rows, width, mode, dtype)
     if mode == "int":
         if values.min() < 0:  # checked once the whole grid has parsed
             r, c = np.argwhere(values < 0)[0].tolist()
@@ -553,12 +586,16 @@ def list_files(dirpath, exts) -> dict:
 
 
 @reads_file
-def read_map(path) -> GrayMap:
+def read_map(path, image=None) -> GrayMap:
     """A float map from a `.grid` (by extension) or a PGM file; an int
-    grid is rejected."""
+    grid is rejected, and so is a map of another size than ``image``,
+    the ImageGrid it belongs to, when one is given."""
     m = read_grid(path) if os.path.splitext(path)[1] == ".grid" else read_pgm(path)
     if not isinstance(m, GrayMap):
         raise ParseError("expected a float map, found an int grid")
+    if image is not None and (m.width, m.height) != (image.width, image.height):
+        raise ParseError(f"heatmap target {m.width}x{m.height} does not match its "
+                         f"image {image.width}x{image.height}")
     return m
 
 
@@ -723,11 +760,18 @@ _META_KEYS = ("name", "input_type", "output_type")
 
 @reads_file
 def _read_meta(path):
-    meta = {key: value for key, value, _ in read_key_values(path, _META_KEYS, "meta")}
-    missing = [k for k in _META_KEYS if k not in meta]
+    """The meta keys of a handle; an unknown input or output type is an
+    error at the line that sets it (the last line, when a key repeats)."""
+    found = {key: (value, lineno) for key, value, lineno in
+             read_key_values(path, _META_KEYS, "meta")}
+    missing = [k for k in _META_KEYS if k not in found]
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}")
-    return meta
+    for key, allowed in (("input_type", INPUT_TYPES), ("output_type", OUTPUT_TYPES)):
+        value, lineno = found[key]
+        if value not in allowed:
+            raise ParseError(f"unknown {key.replace('_', ' ')}: {value!r}", line=lineno)
+    return {key: value for key, (value, _) in found.items()}
 
 
 def save_handle(dirpath, handle: DatasetHandle) -> None:
@@ -796,7 +840,7 @@ def load_handle(dirpath) -> DatasetHandle:
             raise ValidationError(f"{dirpath}: no {kind} target for id {sid!r}")
         prompt = PromptSpec(meta["input_type"], meta["output_type"])
         if kind == "heatmap":
-            target = read_map(targets[sid])
+            target = read_map(targets[sid], image)
         elif kind == "scanpath":
             target, prompt = read_scanpath(targets[sid])
         else:

@@ -35,14 +35,13 @@ def average_ranks(x) -> np.ndarray:
     """1-based ranks; tied values share the average of their ranks."""
     x = np.asarray(x, dtype=np.float64).ravel()
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # a tie run starts at 0 and wherever a sorted value differs from the one
+    # before it; NaN differs from everything, so each NaN is a run of its own
+    cuts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    starts, ends = np.r_[0, cuts], np.r_[cuts, x.size] - 1
     ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -157,12 +157,18 @@ def bilinear_naive(values2d, src_w, src_h, dst_w, dst_h):
 
 
 def ranks_naive(xs):
+    """Each value's rank from a count of the values below it and equal
+    to it, counted once per distinct value. NaN equals nothing, so it
+    ranks 0.5 and counts toward no other value's rank."""
     xs = list(xs)
+    counted = {}  # equal floats (0.0 and -0.0 too) share their counts
     ranks = [0.0] * len(xs)
     for i, v in enumerate(xs):
-        below = sum(1 for u in xs if u < v)
-        ties = sum(1 for u in xs if u == v)
-        ranks[i] = below + (ties + 1) / 2.0
+        if v not in counted:
+            below = sum(1 for u in xs if u < v)
+            ties = sum(1 for u in xs if u == v)
+            counted[v] = below + (ties + 1) / 2.0
+        ranks[i] = counted[v]
     return ranks
 
 

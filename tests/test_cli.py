@@ -452,6 +452,18 @@ def _prompt_disagrees_with_meta(d):
     (d / "paths" / "000001.jsonl").write_text(text.replace("natural image", "webpage"))
 
 
+def _meta_with_unknown_input_type(d):
+    meta = d / "meta.txt"
+    meta.write_text(meta.read_text().replace("input_type = natural image", "input_type = nat"))
+    return meta, "line 2: unknown input type: 'nat'"
+
+
+def _map_smaller_than_its_image(d):
+    path = d / "maps" / "000001.grid"
+    write_grid(path, GrayMap(32, 32, np.full((32, 32), 0.5)))
+    return path, "heatmap target 32x32 does not match its image 64x64"
+
+
 class TestTrain:
     def test_outputs_exist(self, trained):
         for name in ("model.ckpt", "config.txt", "train_log.csv"):
@@ -533,6 +545,18 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("damage", [_meta_with_unknown_input_type,
+                                        _map_smaller_than_its_image],
+                             ids=["unknown-input-type", "map-size"])
+    def test_train_on_handle_breaking_a_rule_names_the_file(self, tmp_path, capsys, damage):
+        save_handle(tmp_path / "d", gen_saliency_task(0, 2))
+        bad, message = damage(tmp_path / "d")
+        assert run(["train", "--data", str(tmp_path / "d"), "--steps", "1",
+                    "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: {message}"]
+        assert err[0].count(bad.name) == 1
 
     def test_train_on_truncated_image_names_the_file(self, tmp_path, capsys):
         save_handle(tmp_path / "d", gen_rating_task(0, 2, size=16))

@@ -2,12 +2,13 @@ import ast
 import dataclasses
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import read_grid_naive
@@ -292,13 +293,29 @@ class TestMixture:
 
 
 class TestGrid:
-    def test_float_round_trip_is_exact(self, tmp_path, rng):
+    def test_float_round_trip_is_exact(self, tmp_path, rng, monkeypatch):
         m = GrayMap(7, 5, rng.standard_normal((5, 7)))
         p = tmp_path / "m.grid"
         write_grid(p, m)
         back = read_grid(p)
         assert isinstance(back, GrayMap)
         assert np.array_equal(back.values, m.values)
+        # 10^5 values from every binade, edges of float64 first, read back
+        # bit for bit by numpy's parser alone, written by %.17g and by repr
+        fi = np.finfo(np.float64)
+        edges = [0.0, -0.0, fi.smallest_subnormal, -fi.smallest_subnormal,
+                 fi.smallest_normal - fi.smallest_subnormal, fi.smallest_normal,
+                 -fi.smallest_normal, fi.max, -fi.max, 1.0, 0.1, 1 / 3]
+        bits = rng.integers(0, 2**64, size=10**5 - len(edges), dtype=np.uint64).view(np.float64)
+        bits[~np.isfinite(bits)] = 0.5
+        values = np.concatenate([edges, bits]).reshape(250, 400)
+        monkeypatch.setattr(data, "_scan_rows", None)  # a row scan would raise TypeError
+        write_grid(p, GrayMap(400, 250, values))
+        by_repr = tmp_path / "repr.grid"
+        by_repr.write_text("UARGRID 400 250 float\n" + "".join(
+            " ".join(map(repr, row)) + "\n" for row in values.tolist()))
+        for path in (p, by_repr):
+            assert read_grid(path).values.tobytes() == values.tobytes()
 
     @given(vals=st.lists(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
                          min_size=6, max_size=6))
@@ -315,6 +332,8 @@ class TestGrid:
         back = read_grid(p)
         assert isinstance(back, SegmentationMap)
         assert np.array_equal(back.labels, seg.labels)
+        write_grid(p, SegmentationMap(2, 1, np.array([[0, 2**63 - 1]])))
+        assert read_grid(p).labels.tolist() == [[0, 2**63 - 1]]
 
     def test_two_by_two_int_grid_is_three_lines(self, tmp_path):
         p = tmp_path / "s.grid"
@@ -446,6 +465,9 @@ _ODD_TOKENS = ["1e400", "-1e400", "nan", "inf", "1_0", "1__0", "+7", "-0", "-1",
                "99999999999999999999", "9223372036854775807", "9223372036854775808",
                "-9223372036854775809", "1" * 400]
 _SEPS = st.sampled_from([" ", "  ", "\t", " \t", "\u00a0"])
+# digits beyond ASCII, which Python's int() and float() take, and a
+# letter beyond ASCII, which numpy's int parser would take for a digit
+_NON_ASCII = ["\u0663", "\uff11", "1\u01fe2"]
 
 
 @st.composite
@@ -457,7 +479,8 @@ def _grid_bytes(draw):
         number = st.floats(allow_nan=False, allow_infinity=False).map(fmt)
     else:
         number = st.integers(0, 2**63 - 1).map(str)
-    token = st.one_of(number, number, number, st.sampled_from(_ODD_TOKENS))  # 1 in 4 odd
+    token = st.one_of(number, number, number,
+                      st.sampled_from(_ODD_TOKENS + _NON_ASCII))  # 1 in 4 odd
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [f"UARGRID{draw(_SEPS)}{w}{draw(_SEPS)}{h}{draw(_SEPS)}{mode}"]
     for _ in range(h):
@@ -466,6 +489,33 @@ def _grid_bytes(draw):
     lines += draw(st.lists(st.sampled_from(["", "   ", "0 0"]), max_size=2))
     raw = (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode("utf-8")
     return _mutate(raw, draw(_EDITS))
+
+
+@st.composite
+def _large_grid_bytes(draw):
+    """A valid grid of up to 40x40 seeded values, but for at most one odd
+    token and, now and then, a blank line among its data rows."""
+    mode = draw(st.sampled_from(["float", "int"]))
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if mode == "float":
+        fmt = draw(st.sampled_from([repr, "%.17g".__mod__, "%e".__mod__]))
+        bits = rng.integers(0, 2**64, size=(h, w), dtype=np.uint64).view(np.float64)
+        values = np.where(np.isfinite(bits) & (rng.random((h, w)) < 0.5), bits,
+                          rng.random((h, w)))
+        rows = [[fmt(v) for v in row] for row in values.tolist()]
+    else:
+        labels = rng.integers(0, 2**63 - 1, size=(h, w)) >> rng.integers(0, 63, size=(h, w))
+        rows = [[str(v) for v in row] for row in labels.tolist()]
+    if draw(st.integers(0, 3)) == 0:  # one grid in four has an odd token
+        odd = draw(st.sampled_from(_ODD_TOKENS + _NON_ASCII))
+        rows[draw(st.integers(0, h - 1))][draw(st.integers(0, w - 1))] = odd
+    sep = draw(_SEPS)
+    lines = [f"UARGRID {w} {h} {mode}"] + [sep.join(row) for row in rows]
+    if draw(st.integers(0, 3)) == 0:  # and one in four a blank data row
+        lines.insert(draw(st.integers(1, h)), draw(st.sampled_from(["", "  ", "\t"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return (eol.join(lines) + eol).encode("utf-8")
 
 
 # up to three byte edits: set, insert or delete one byte, or cut the file
@@ -499,9 +549,12 @@ def _outcome(reader, path):
 
 
 class TestGridMatchesOracle:
-    """The row-at-a-time reader against the token-at-a-time oracle:
-    bit-identical arrays, or the same error with the same message, line
-    and column. Three differences are intended:
+    """The reader, numpy's parser with the row scan behind it, against
+    the token-at-a-time oracle: bit-identical arrays, or the same error
+    with the same message, line and column, and no warning from either.
+    The inputs are small grids with many odd tokens and byte edits, and
+    grids of up to 40x40 with at most one fault. Three differences are
+    intended:
 
     - an int label outside int64, where the oracle leaks OverflowError
       or reports a later error, raises ParseError at that label;
@@ -513,12 +566,25 @@ class TestGridMatchesOracle:
     """
 
     @settings(max_examples=400)
-    @given(raw=_grid_bytes())
+    @given(raw=st.one_of(_grid_bytes(), _large_grid_bytes()))
+    @example(raw="UARGRID 4 1 int\n1_0 \u0663 \uff11 7\n".encode())
+    @example(raw="UARGRID 4 1 float\n1_0 \u0663 \uff11 .5\n".encode())
+    @example(raw="UARGRID 2 1 int\n1\u01fe2 3\n".encode())
+    @example(raw=b"UARGRID 2 1 int\n1.0 3\n")
+    @example(raw=b"UARGRID 2 3 int\n1 2\n\n3 4\n")
+    @example(raw=b"UARGRID 2 3 float\r\n1 2\r\n \t\r\n3 4\r\n")
+    @example(raw=b"UARGRID 2 2 float\n\n\n")
+    @example(raw=b"UARGRID 2 2 int\n  \n\t\n0 0\n")
     def test_same_result_or_same_error(self, raw, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "fuzz.grid"
         path.write_bytes(raw)
-        want, want_err = _outcome(read_grid_naive, path)
-        got, got_err = _outcome(read_grid, path)
+        # recorded, not raised: the reader turns warnings into errors it
+        # catches, and a warning raised here would hide one it lets out
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            want, want_err = _outcome(read_grid_naive, path)
+            got, got_err = _outcome(read_grid, path)
+        assert not escaped
         if isinstance(want_err, ParseError):
             want_err.path = path  # the reader names its file; the oracle does not
         if isinstance(want_err, UnicodeDecodeError):
@@ -1098,8 +1164,27 @@ class TestHandleIO:
         save_handle(d, gen_saliency_task(6, 2))
         write_grid(d / "maps" / "000001.grid", GrayMap(32, 32, np.full((32, 32), 0.5)))
         with pytest.raises(ValidationError, match="heatmap target 32x32 does not match its "
-                                                  "image 64x64"):
+                                                  "image 64x64") as e:
             load_handle(d)
+        assert isinstance(e.value, ParseError)
+        assert e.value.path == str(d / "maps" / "000001.grid")
+
+    @pytest.mark.parametrize("key,line", [("input_type", 2), ("output_type", 3)])
+    def test_unknown_meta_type_is_an_error_at_its_line(self, tmp_path, key, line):
+        d = tmp_path / "h"
+        save_handle(d, gen_saliency_task(6, 1))
+        meta = d / "meta.txt"
+        meta.write_text(re.sub(f"{key} = .*", f"{key} = nat", meta.read_text()))
+        with pytest.raises(ParseError, match=f"unknown {key.replace('_', ' ')}: 'nat'") as e:
+            load_handle(d)
+        assert (e.value.path, e.value.line) == (str(meta), line)
+
+    def test_a_repeated_meta_type_is_checked_where_it_last_appears(self, tmp_path):
+        d = tmp_path / "h"
+        save_handle(d, gen_saliency_task(6, 1))
+        meta = d / "meta.txt"
+        meta.write_text("input_type = nat\n" + meta.read_text())
+        assert load_handle(d).input_type == "natural image"
 
     def test_missing_target_rejected(self, tmp_path):
         h = gen_saliency_task(7, 2)
