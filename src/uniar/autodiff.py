@@ -6,6 +6,8 @@ gradients. ``backward`` walks the graph once in reverse topological
 order. ``Tensor(...)`` rejects NaN/Inf inputs, so attention masks
 must use large finite negatives rather than -inf. Op outputs are
 checked once, where a value leaves the engine (see ``check_finite``).
+Checkpoints are written and read through ``uniar.data``'s one way out
+and one way in, so an error in reading one names its path.
 
 Performance is a non-goal beyond keeping desk-scale training runs in
 the minutes range. Convolutions are one im2col-plus-matmul primitive
@@ -22,7 +24,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .data import _read_input, _write_output, reads_file
+from .errors import NumericError, ParseError, ValidationError
 
 _GRAD_ENABLED = True
 _CHECK_OPS = False  # set only inside check_finite's re-run
@@ -553,30 +556,27 @@ def save_checkpoint(path, params: dict) -> None:
     """Flat binary container: magic, u32 version, then per tensor a
     u32 name length, UTF-8 name, u64 rank, u64 dims, float64
     little-endian payload. Order follows the dict."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for name, t in params.items():
-            arr = np.asarray(t.data if isinstance(t, Tensor) else t, dtype=np.float64)
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<Q", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
+    records = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
+    for name, t in params.items():
+        arr = np.asarray(t.data if isinstance(t, Tensor) else t, dtype=np.float64)
+        nb = name.encode("utf-8")
+        records += [struct.pack("<I", len(nb)), nb, struct.pack("<Q", arr.ndim),
+                    struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f8").tobytes()]
+    _write_output(path, b"".join(records))
 
 
+@reads_file
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into an ordered name -> ndarray dict. Any
-    truncated, corrupt or non-finite content raises ValidationError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a checkpoint back into an ordered name -> ndarray dict. A
+    missing file or any truncated, corrupt or non-finite content raises
+    ParseError."""
+    blob = _read_input(path, binary=True)
     if blob[:8] != CHECKPOINT_MAGIC:
-        raise ValidationError("not a checkpoint file (bad magic)")
+        raise ParseError("not a checkpoint file (bad magic)")
     try:
         (version,) = struct.unpack_from("<I", blob, 8)
         if version != CHECKPOINT_VERSION:
-            raise ValidationError(f"unsupported checkpoint version {version}")
+            raise ParseError(f"unsupported checkpoint version {version}")
         off = 12
         out: dict[str, np.ndarray] = {}
         while off < len(blob):
@@ -599,8 +599,8 @@ def load_checkpoint(path) -> dict:
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims)
             off += 8 * count
             if not np.isfinite(arr).all():
-                raise ValidationError(f"checkpoint tensor {name!r} holds non-finite values")
+                raise ParseError(f"checkpoint tensor {name!r} holds non-finite values")
             out[name] = arr.astype(np.float64)
     except (struct.error, ValueError, OverflowError) as e:
-        raise ValidationError(f"truncated or corrupt checkpoint: {e}")
+        raise ParseError(f"truncated or corrupt checkpoint: {e}")
     return out

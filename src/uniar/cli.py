@@ -25,6 +25,7 @@ from .codec import decode_robust, encode_target, quantize
 from .data import (
     MAP_EXTS,
     MixtureConfig,
+    _write_output,
     gen_rating_task,
     gen_saliency_task,
     gen_scanpath_task,
@@ -141,23 +142,10 @@ def report_table(rows, metrics) -> str:
         if len(values) != len(metrics):
             raise ValidationError(f"row {label!r} has {len(values)} cells for "
                                   f"{len(metrics)} metrics")
-    best = []
-    for j, d in enumerate(directions):
-        seen = [v[j] for _, v in rows if v[j] is not None]
-        if not seen:
-            best.append(None)
-        else:
-            best.append(max(seen) if d == "+" else min(seen))
-    cells = []
-    for label, values in rows:
-        line = []
-        for j, v in enumerate(values):
-            if v is None:
-                line.append("n/a")
-            else:
-                star = "*" if v == best[j] else ""
-                line.append(f"{star}{v:.3f}")
-        cells.append((str(label), line))
+    best = [(max if d == "+" else min)(seen) if seen else None
+            for d, seen in zip(directions, _columns(rows))]
+    cells = [(str(label), ["n/a" if v is None else f"{'*' if v == b else ''}{v:.3f}"
+                           for v, b in zip(values, best)]) for label, values in rows]
     label_w = max(len("id"), max(len(c[0]) for c in cells))
     widths = [max(len(m), max(len(c[1][j]) for c in cells)) for j, m in enumerate(metrics)]
     out = ["id".ljust(label_w) + "".join("  " + m.rjust(widths[j])
@@ -168,14 +156,14 @@ def report_table(rows, metrics) -> str:
     return "\n".join(out)
 
 
+def _columns(rows):
+    """Each column's values, over the rows that have one."""
+    return [[v[j] for _, v in rows if v[j] is not None] for j in range(len(rows[0][1]))]
+
+
 def _mean_row(rows):
     """Column-wise mean over the rows that have the column."""
-    n = len(rows[0][1])
-    means = []
-    for j in range(n):
-        seen = [v[j] for _, v in rows if v[j] is not None]
-        means.append(float(np.mean(seen)) if seen else None)
-    return "mean", means
+    return "mean", [float(np.mean(seen)) if seen else None for seen in _columns(rows)]
 
 
 def _report(rows, headers, out) -> None:
@@ -306,12 +294,10 @@ def _cmd_eval_rating(args) -> None:
 
 def _cmd_codec(args) -> None:
     if args.mode == "encode":
-        lines = [encode_target(quantize(path)).text
-                 for path, _ in read_scanpaths(args.input)]
-        text = "\n".join(lines) + ("\n" if lines else "")
+        text = "".join(encode_target(quantize(path)).text + "\n"
+                       for path, _ in read_scanpaths(args.input))
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_output(args.out, text)
         else:
             sys.stdout.write(text)
     else:
@@ -434,8 +420,7 @@ def _cmd_predict(args) -> None:
     else:
         score = predict_rating(image, prompt, params, cfg).score
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(repr(score) + "\n")
+            _write_output(args.out, repr(score) + "\n")
         print(repr(score))
 
 

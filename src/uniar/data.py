@@ -13,15 +13,16 @@ maps, binary PPM (P6) for images, JSON lines for scanpaths, CSV tables
 for rating pairs, scores and reports, `key = value` text for handle
 metadata and model configs. This module is the only one that knows a
 file format or a directory layout; the CLI and the model read and write
-through it. All writers are deterministic byte-for-byte. `_read_input`
-is the one place an input file is opened and decoded; `reads_file` puts
-its path on any ParseError raised while a reader parses it.
+through it. All writers are deterministic byte-for-byte. One way in,
+one way out: every file, checkpoints included, is read by `_read_input`
+and written by `_write_output`; `reads_file` names the file in errors.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -258,7 +259,7 @@ def mixture_next(cfg: MixtureConfig, rng_state: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# input files
+# input and output files
 
 def _read_input(path, binary=False):
     """The one place an input file is opened. Returns its bytes, or its
@@ -288,6 +289,13 @@ def _read_input(path, binary=False):
     if bad is not None:
         raise ParseError(f"invalid UTF-8: {bad.reason}", line=len(lines), column=len(lines[-1]))
     return lines
+
+
+def _write_output(path, content) -> None:
+    """The one place a file is opened for writing: ``content`` is bytes,
+    or text written as UTF-8 exactly as given, line ends untranslated."""
+    with open(path, "wb") as fh:
+        fh.write(content.encode("utf-8") if isinstance(content, str) else content)
 
 
 def reads_file(reader):
@@ -335,8 +343,7 @@ def write_grid(path, obj) -> None:
     lines = [f"{_GRID_MAGIC} {w} {h} {mode}"]
     for row in arr:
         lines.append(" ".join(fmt % v for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_output(path, "\n".join(lines) + "\n")
 
 
 def _bad_row(line: str, lineno: int, mode: str) -> ParseError:
@@ -411,8 +418,7 @@ def write_key_values(path, pairs) -> None:
                 or any("\n" in t or "\r" in t or t != t.strip() for t in (key, value))):
             raise ValidationError(f"{key!r} = {value!r} would not read back unchanged")
         lines.append(f"{key} = {value}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    _write_output(path, "".join(lines))
 
 
 @reads_file
@@ -538,9 +544,8 @@ def write_pgm(path, gmap: GrayMap) -> None:
     if v.min() < 0.0 or v.max() > 1.0:
         raise ValidationError("PGM output needs values in [0, 1]")
     raster = round_halfaway(v * 65535.0).astype(">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{gmap.width} {gmap.height}\n65535\n".encode("ascii"))
-        fh.write(raster.tobytes())
+    _write_output(path, f"P5\n{gmap.width} {gmap.height}\n65535\n".encode("ascii")
+                  + raster.tobytes())
 
 
 @reads_file
@@ -554,9 +559,8 @@ def read_pgm(path) -> GrayMap:
 def write_ppm(path, image: ImageGrid) -> None:
     """8-bit binary PPM; each channel maps to round(v * 255)."""
     raster = round_halfaway(image.pixels * 255.0).astype("u1")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{image.width} {image.height}\n255\n".encode("ascii"))
-        fh.write(raster.tobytes())
+    _write_output(path, f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
+                  + raster.tobytes())
 
 
 @reads_file
@@ -626,8 +630,7 @@ def write_scanpaths(path, items) -> None:
             "output_type": prompt.output_type,
             "query": prompt.query,
         }))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    _write_output(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 _SCANPATH_FIELDS = ("frame", "fixations", "input_type", "output_type", "query")
@@ -693,21 +696,22 @@ def write_table(path, header, rows) -> None:
     """A CSV table: the header, then one line per row, with minimal
     quoting and `\\n` line ends. The csv module writes floats with
     repr(), so at full precision, and None as an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_output(path, buf.getvalue())
 
 
 @reads_file
 def read_table(path, header, kind: str):
     """One tuple per row of a CSV table below its header, in file
-    order: the first field as text, the others as finite floats.
-    An empty file, another header, no rows, a row whose field count
-    differs from the header's, a bad number or bytes the csv module
-    rejects (a field over its size limit) raise ParseError at the
-    physical line where the first such row ends; ``kind`` names what the
-    table holds in the messages."""
+    order: the first field as text, the others as finite floats or, for
+    an empty cell, None, as write_table wrote it. An empty file, another
+    header, no rows, a row whose field count differs from the header's,
+    a bad number or bytes the csv module rejects (a field over its size
+    limit) raise ParseError at the physical line where the first such
+    row ends; ``kind`` names what the table holds in the messages."""
     reader = csv.reader(_read_input(path))
     out = []
     try:
@@ -721,10 +725,10 @@ def read_table(path, header, kind: str):
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}",
                                  line=reader.line_num)
             try:
-                values = [float(v) for v in row[1:]]
+                values = [None if v == "" else float(v) for v in row[1:]]
             except ValueError:
                 raise ParseError(f"bad numeric field in {row!r}", line=reader.line_num)
-            if not all(map(math.isfinite, values)):
+            if not all(v is None or math.isfinite(v) for v in values):
                 raise ParseError(f"{kind} must be finite", line=reader.line_num)
             out.append((row[0], *values))
     except csv.Error as e:
@@ -732,6 +736,16 @@ def read_table(path, header, kind: str):
     if not out:
         raise ParseError("no rows below its header", line=2)
     return out
+
+
+@reads_file
+def _read_numbers(path, header, kind: str):
+    """read_table for a table with a number in every cell after the first."""
+    rows = read_table(path, header, kind)
+    for row in rows:
+        if None in row:
+            raise ParseError(f"empty field in {kind} row {row[0]!r}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +763,7 @@ def write_ratings(path, rows) -> None:
 def read_ratings(path):
     """Inverse of write_ratings; returns a list of (id, predicted,
     observed) with floats parsed and checked finite."""
-    return read_table(path, RATING_HEADER, "ratings")
+    return _read_numbers(path, RATING_HEADER, "ratings")
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +816,7 @@ def save_handle(dirpath, handle: DatasetHandle) -> None:
 
 
 def _read_scores(path):
-    return dict(read_table(path, ("id", "score"), "scores"))
+    return dict(_read_numbers(path, ("id", "score"), "scores"))
 
 
 def _normalize_scores(scores: dict) -> dict:

@@ -110,6 +110,10 @@ def tokenize_prompt(prompt, vocab=DEFAULT_PROMPT_VOCAB) -> list:
     return ids
 
 
+_CONFIG_INT_FIELDS = ("image_size", "patch_size", "embed_dim", "encoder_layers",
+                      "decoder_layers", "heads", "max_output_tokens")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Desk-scale hyperparameters. Loss weights order is
@@ -125,8 +129,7 @@ class ModelConfig:
     loss_weights: tuple = (1.0, 500.0, 50.0)
 
     def __post_init__(self):
-        for name in ("image_size", "patch_size", "embed_dim", "encoder_layers",
-                     "decoder_layers", "heads", "max_output_tokens"):
+        for name in _CONFIG_INT_FIELDS:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v <= 0:
                 raise ValidationError(f"{name} must be a positive integer, got {v!r}")
@@ -166,10 +169,6 @@ class ModelConfig:
     @property
     def vocab(self) -> tuple:
         return DECODER_VOCAB
-
-
-_CONFIG_INT_FIELDS = ("image_size", "patch_size", "embed_dim", "encoder_layers",
-                      "decoder_layers", "heads", "max_output_tokens")
 
 
 def write_config(path, cfg: ModelConfig) -> None:

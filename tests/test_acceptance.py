@@ -291,6 +291,7 @@ def test_criterion_4_gradient_checks():
               f"end-to-end {err:.1e} < 1e-4, {dt:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_5_toy_convergence(train_runs):
     run_a, _, wall = train_runs
     assert TRAIN_STEPS <= 2000
@@ -332,6 +333,7 @@ def test_criterion_6_mixture_fairness(mixture_runs):
     report(6, f"chi-square {stat:.1f} over 11 handles, p {pval:.3f} > 0.001")
 
 
+@pytest.mark.slow
 def test_criterion_7_prompt_conditioning(train_runs):
     run_a, _, _ = train_runs
     cfg = ModelConfig()
@@ -355,6 +357,7 @@ def test_criterion_7_prompt_conditioning(train_runs):
               f"{min(gaps):.3g} > 1e-6")
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism(train_runs, mixture_runs):
     run_a, run_b, _ = train_runs
     for name in ("model.ckpt", "train_log.csv"):

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uniar import autodiff as ad
-from uniar.errors import NumericError, UniarError, ValidationError
+from uniar.errors import NumericError, ParseError, UniarError, ValidationError
 
 from oracles import conv2d_naive, conv2d_transpose_naive, grad_check
 
@@ -584,8 +584,17 @@ def test_checkpoint_truncated(tmp_path):
     ad.save_checkpoint(path, {"w": np.ones((4, 4))})
     blob = path.read_bytes()
     path.write_bytes(blob[:-5])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError) as e:
         ad.load_checkpoint(path)
+    assert e.value.path == path and str(e.value) == (
+        f"{path}: truncated or corrupt checkpoint: tensor 'w': 128 payload bytes, 123 left")
+
+
+def test_checkpoint_missing_names_the_path(tmp_path):
+    path = tmp_path / "run" / "model.ckpt"
+    with pytest.raises(ParseError) as e:
+        ad.load_checkpoint(path)
+    assert e.value.path == path and str(e.value) == f"{path}: No such file or directory"
 
 
 def test_checkpoint_unknown_version(tmp_path):

@@ -17,12 +17,14 @@ from uniar.data import (
     read_pgm,
     read_ppm,
     read_scanpaths,
+    read_table,
     save_handle,
     write_grid,
     write_pgm,
     write_ppm,
     write_ratings,
     write_scanpaths,
+    write_table,
 )
 from uniar.errors import ValidationError
 from uniar.model import ModelConfig, write_config
@@ -166,6 +168,20 @@ class TestCodecCommand:
         out = tmp_path / "tokens.txt"
         assert run(["codec", "encode", str(src), "--out", str(out)]) == 0
         assert out.read_text().count("<extra_id_01>") == 1
+
+    def test_encode_file_matches_stdout_byte_for_byte(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        write_scanpaths(src, [(Scanpath((64, 64), [[1.0, 2.0], [60.5, 3.25]]),
+                               PromptSpec("natural image", "scanpath")),
+                              (Scanpath((640, 480), [[320.0, 240.0]]),
+                               PromptSpec("webpage", "scanpath", "q"))])
+        out = tmp_path / "tokens.txt"
+        assert run(["codec", "encode", str(src), "--out", str(out)]) == 0
+        assert run(["codec", "encode", str(src)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_bytes() == printed.encode("utf-8")
+        assert printed.count("\n") == 2 and printed.endswith("<extra_id_02>\n")
+        assert "\r" not in printed
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +501,23 @@ class TestTrain:
                           (out / "train_log.csv").read_bytes()))
         assert blobs[0] == blobs[1]
 
+    def test_train_log_round_trip(self, tmp_path):
+        # a step without a decode probe leaves its `valid` cell empty
+        cfg_path = tmp_path / "slim.txt"
+        write_config(cfg_path, SLIM)
+        out = tmp_path / "run"
+        assert run(["train", "--synthetic", "--steps", "20", "--seed", "3",
+                    "--config", str(cfg_path), "--out", str(out)]) == 0
+        header = ("step", "loss", "valid")
+        rows = read_table(out / "train_log.csv", header, "training log")
+        assert [step for step, _, _ in rows] == [str(k) for k in range(1, 21)]
+        assert all(valid is None for step, _, valid in rows if int(step) % 5)
+        assert {valid for step, _, valid in rows if int(step) % 5 == 0} <= {0.0, 1.0, None}
+        write_table(tmp_path / "again.csv", header,
+                    [(int(step), loss, None if valid is None else int(valid))
+                     for step, loss, valid in rows])
+        assert (tmp_path / "again.csv").read_bytes() == (out / "train_log.csv").read_bytes()
+
     def test_seed_changes_the_run(self, tmp_path):
         cfg_path = tmp_path / "slim.txt"
         write_config(cfg_path, SLIM)
@@ -598,18 +631,22 @@ class TestPredict:
             assert prompt.output_type == "scanpath"
             assert overlay.exists()
 
-    @pytest.mark.parametrize("keep", [9, 30, -5])
+    @pytest.mark.parametrize("keep", [9, 30, -5, None])  # None: no checkpoint file at all
     def test_truncated_checkpoint_is_data_error(self, trained, tmp_path, capsys, keep):
         img_path = tmp_path / "img.ppm"
         write_ppm(img_path, gen_saliency_task(9, 1).samples[0].image)
-        ckpt = tmp_path / "cut.ckpt"
-        ckpt.write_bytes((trained / "model.ckpt").read_bytes()[:keep])
+        ckpt = tmp_path / "run" / "model.ckpt"
+        if keep is not None:
+            ckpt.parent.mkdir()
+            ckpt.write_bytes((trained / "model.ckpt").read_bytes()[:keep])
         assert run(["predict", str(img_path), "--ckpt", str(ckpt),
                     "--config", str(trained / "config.txt"),
                     "--prompt", "INPUT_TYPE: natural image OUTPUT_TYPE: scanpath",
                     "--out", str(tmp_path / "pred.jsonl")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "checkpoint" in err[0]
+        expected = ("truncated or corrupt checkpoint: " if keep is not None
+                    else "No such file or directory")
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: {expected}")
 
     def test_non_finite_checkpoint_is_data_error(self, trained, tmp_path, capsys):
         img_path = tmp_path / "img.ppm"
@@ -675,9 +712,9 @@ class TestPredict:
                     "--config", str(trained / "config.txt"),
                     "--prompt", "INPUT_TYPE: natural image OUTPUT_TYPE: aesthetics score",
                     "--out", str(out)]) == 0
-        printed = capsys.readouterr().out.strip()
-        assert out.read_text().strip() == printed
-        assert 0.0 <= float(printed) <= 1.0
+        printed = capsys.readouterr().out
+        assert out.read_bytes() == printed.encode("ascii")  # repr(score) and one "\n"
+        assert printed == repr(float(printed)) + "\n" and 0.0 <= float(printed) <= 1.0
 
     def test_overlay_rejected_for_heatmap_prompt(self, trained, tmp_path):
         img_path = tmp_path / "img.ppm"

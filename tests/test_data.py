@@ -840,6 +840,26 @@ class TestRatingFile:
             read_ratings(p)
         assert e.value.line == 2
 
+    @pytest.mark.parametrize("reader,text,message", [
+        (read_ratings, "id,predicted,observed\nx,0.5,0.25\ny,,0.25\n",
+         "empty field in ratings row 'y'"),
+        (data._read_scores, "id,score\n000000,0.5\n000001,\n",
+         "empty field in scores row '000001'"),
+    ])
+    def test_empty_cell_rejected(self, tmp_path, reader, text, message):
+        p = tmp_path / "r.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as e:
+            reader(p)
+        assert str(e.value) == f"{p}: {message}"
+
+    def test_table_empty_cell_reads_as_none(self, tmp_path):
+        p = tmp_path / "t.csv"
+        rows = [("1", 2.5, None), ("2", None, 0.0)]
+        data.write_table(p, ("step", "loss", "valid"), rows)
+        assert p.read_bytes() == b"step,loss,valid\n1,2.5,\n2,,0.0\n"
+        assert data.read_table(p, ("step", "loss", "valid"), "log") == rows
+
     def test_field_over_the_csv_size_limit_is_parse_error(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("id,predicted,observed\nx,0.5,0.25\n" + "y" * 200_000 + ",0.5,0.25\n")
@@ -999,30 +1019,32 @@ def test_damaged_handles_only_raise_uniar_errors(tmp_path_factory, saved_handles
         pass
 
 
-def test_only_the_input_helper_opens_files_for_reading():
-    """`data._read_input` is the one function that opens an input file
-    (checkpoints aside, which `autodiff.load_checkpoint` reads), so
-    decoding and naming the file in errors have one owner."""
-    allowed = {("data.py", "_read_input"), ("autodiff.py", "load_checkpoint")}
+def test_only_the_two_file_helpers_open_files():
+    """One way in and one way out: `data._read_input` is the one function
+    that opens a file for reading and `data._write_output` the one that
+    opens a file for writing, in any mode, checkpoints and the CLI's
+    output files included, so decoding, line ends and naming the file in
+    errors each have one owner."""
+    allowed = {("data.py", "_read_input"), ("data.py", "_write_output")}
     src = Path(data.__file__).parent
-    found = []
+    found, seen = [], set()
     for py in sorted(src.rglob("*.py")):
-        for fn in ast.walk(ast.parse(py.read_text(encoding="utf-8"))):
-            if not isinstance(fn, ast.FunctionDef) or (py.name, fn.name) in allowed:
+        tree = ast.parse(py.read_text(encoding="utf-8"))
+        owner = {}  # node -> its innermost enclosing function (walk goes outside in)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
                 continue
-            for call in ast.walk(fn):
-                if not isinstance(call, ast.Call):
-                    continue
-                name = getattr(call.func, "id", getattr(call.func, "attr", None))
-                if name in ("read_text", "read_bytes"):
-                    found.append(f"{py.name}:{call.lineno} {fn.name}")
-                elif name == "open":
-                    mode = call.args[1] if len(call.args) > 1 else next(
-                        (k.value for k in call.keywords if k.arg == "mode"), None)
-                    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                            and "r" not in mode.value and "+" not in mode.value):
-                        found.append(f"{py.name}:{call.lineno} {fn.name}")
-    assert found == []
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name in ("open", "read_text", "read_bytes", "write_text", "write_bytes"):
+                where = (py.name, owner.get(id(call)))
+                if where in allowed:
+                    seen.add(where)
+                else:
+                    found.append(f"{py.name}:{call.lineno} {where[1]}")
+    assert found == [] and seen == allowed
 
 
 # ---------------------------------------------------------------------------
