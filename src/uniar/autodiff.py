@@ -9,11 +9,14 @@ checked once, where a value leaves the engine (see ``check_finite``).
 Checkpoints are written and read through ``uniar.data``'s one way out
 and one way in, so an error in reading one names its path.
 
-Performance is a non-goal beyond keeping desk-scale training runs in
-the minutes range. Convolutions are one im2col-plus-matmul primitive
-and its adjoint: ``conv2d`` runs the primitive forward and the adjoint
-for its input gradient, ``conv2d_transpose`` the other way round. Both
-are checked against the explicit-loop oracles in the test suite.
+Op bodies stay lean, as a cached decode step is ~100 ops on one
+position: reductions call the ufunc (``np.add.reduce(x, ...) / n`` is
+what ``x.mean`` computes for float64, minus its Python wrapper), and
+work only the backward needs happens inside ``bwd``. Convolutions are
+one im2col-plus-matmul primitive and its adjoint: ``conv2d`` runs the
+primitive forward and the adjoint for its input gradient,
+``conv2d_transpose`` the other way round. Both are checked against
+the explicit-loop oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def check_finite(data, what: str, rerun=None) -> None:
     """Raise NumericError naming ``what`` if ``data`` holds NaN or Inf.
     A boundary passes ``rerun``, the forward that made ``data``; it runs
     once first with per-op checks on, to name the first failing op."""
-    if np.isfinite(data).all():
+    if np.logical_and.reduce(np.isfinite(data), axis=None):
         return
     global _CHECK_OPS
     if rerun is not None:
@@ -116,10 +119,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     extra = g.ndim - len(shape)
     if extra:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.add.reduce(g, axis=axes, keepdims=True)
     return g
 
 
@@ -186,8 +189,8 @@ def sigmoid(a) -> Tensor:
     a = _wrap(a)
     # overflow-safe split form
     x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(g):
         return (g * data * (1.0 - data),)
@@ -197,12 +200,12 @@ def sigmoid(a) -> Tensor:
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def bwd(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
+        inner = np.add.reduce(g * data, axis=axis, keepdims=True)
         return (data * (g - inner),)
 
     return _make(data, (a,), bwd, "softmax")
@@ -211,19 +214,18 @@ def softmax(a, axis: int = -1) -> Tensor:
 def layer_norm(a, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance."""
     a = _wrap(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    n = a.data.shape[-1]
+    xc = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    data = xhat
 
     def bwd(g):
-        m = g.mean(axis=-1, keepdims=True)
-        mx = (g * xhat).mean(axis=-1, keepdims=True)
+        m = np.add.reduce(g, axis=-1, keepdims=True) / n
+        mx = np.add.reduce(g * xhat, axis=-1, keepdims=True) / n
         return (inv * (g - m - xhat * mx),)
 
-    return _make(data, (a,), bwd, "layer_norm")
+    return _make(xhat, (a,), bwd, "layer_norm")
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -251,11 +253,10 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
-    old = a.shape
     data = a.data.reshape(shape)
 
     def bwd(g):
-        return (g.reshape(old),)
+        return (g.reshape(a.shape),)
 
     return _make(data, (a,), bwd, "reshape")
 
@@ -263,11 +264,10 @@ def reshape(a, shape) -> Tensor:
 def permute(a, axes) -> Tensor:
     a = _wrap(a)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
     data = a.data.transpose(axes)
 
     def bwd(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _make(data, (a,), bwd, "permute")
 
@@ -277,10 +277,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ValidationError("concat needs at least one tensor")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
     return _make(data, tuple(tensors), bwd, "concat")
@@ -309,7 +308,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
 
     def bwd(g):
         if axis is None:
@@ -358,14 +357,14 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
     v = logits.shape[-1]
     if labels.size and (labels.min() < 0 or labels.max() >= v):
         raise ValidationError("label outside vocabulary")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
+    shifted = logits.data - np.maximum.reduce(logits.data, axis=-1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
     picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
     data = lse - picked
 
     def bwd(g):
         p = np.exp(shifted)
-        p /= p.sum(axis=-1, keepdims=True)
+        p /= np.add.reduce(p, axis=-1, keepdims=True)
         idx = tuple(np.indices(labels.shape)) + (labels,)
         p[idx] -= 1.0
         return (p * g[..., None],)

@@ -308,21 +308,22 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
     return params
 
 
+@reads_file
 def load_params(path, cfg: ModelConfig) -> dict:
     """Read a checkpoint and validate it against the config's
-    parameter inventory."""
+    parameter inventory; a mismatch is a ParseError naming the file."""
     arrays = ad.load_checkpoint(path)
     shapes = param_shapes(cfg)
     if set(arrays) != set(shapes):
         missing = sorted(set(shapes) - set(arrays))
         extra = sorted(set(arrays) - set(shapes))
-        raise ValidationError(
-            f"checkpoint does not match config (missing {missing[:3]}, unexpected {extra[:3]})")
+        raise ParseError(f"tensors do not match the config "
+                         f"(missing {missing[:3]}, unexpected {extra[:3]})")
     params = {}
     for name in shapes:
         if arrays[name].shape != shapes[name]:
-            raise ValidationError(
-                f"checkpoint tensor {name} has shape {arrays[name].shape}, expected {shapes[name]}")
+            raise ParseError(f"tensor {name} has shape {arrays[name].shape}, "
+                             f"but the config expects {shapes[name]}")
         params[name] = Tensor(arrays[name], requires_grad=True)
     return params
 

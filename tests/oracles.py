@@ -304,6 +304,31 @@ def conv2d_transpose_naive(x, w, stride=2, pad=0):
     return out
 
 
+def layer_norm_naive(x, g, eps=1e-5):
+    """Layer norm over the last axis and its input gradient for the
+    upstream gradient ``g``, written with ndarray's ``mean`` method.
+    The engine calls the ufunc reduction in its place, which must give
+    the same bits."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    m = g.mean(axis=-1, keepdims=True)
+    mx = (g * xhat).mean(axis=-1, keepdims=True)
+    return xhat, inv * (g - m - xhat * mx)
+
+
+def softmax_naive(x, g, axis=-1):
+    """Softmax along ``axis`` and its input gradient for the upstream
+    gradient ``g``, written with ndarray's ``max`` and ``sum`` methods."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return out, out * (g - inner)
+
+
 def grad_check(f, x, h: float = 1e-5, sample: int | None = None, seed: int = 0) -> float:
     """Max relative error between backward gradients and central
     differences, over all (or ``sample`` per-tensor seeded random)

@@ -1,4 +1,7 @@
+import ast
+import itertools
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,13 @@ from hypothesis import strategies as st
 from uniar import autodiff as ad
 from uniar.errors import NumericError, ParseError, UniarError, ValidationError
 
-from oracles import conv2d_naive, conv2d_transpose_naive, grad_check
+from oracles import (
+    conv2d_naive,
+    conv2d_transpose_naive,
+    grad_check,
+    layer_norm_naive,
+    softmax_naive,
+)
 
 TOL = 1e-6  # per-op finite-difference tolerance at h = 1e-5
 
@@ -322,6 +331,101 @@ def test_conv_input_gradient_is_exactly_the_transpose(n, h, wd, cin, cout, kh, k
                          for gi in g])
         assert fwd.shape == want.shape
         assert np.max(np.abs(fwd - want)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# op bodies against their method-call references, bit for bit
+
+# last-axis lengths around numpy's 8-wide unrolled and 128-wide pairwise sum blocks
+LENGTHS = (1, 2, 7, 8, 9, 64, 127, 128, 129, 1004)
+
+
+def forward_and_grad(op, x, g, **kw):
+    """``op(x)`` and the gradient it passes back for upstream ``g``:
+    the dot_loss projection hands ``g`` through unchanged."""
+    t = ad.Tensor(x, requires_grad=True)
+    out = op(t, **kw)
+    ad.backward(dot_loss(out, g))
+    return out.data, t.grad
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_layer_norm_equals_method_reference(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(3, 4, n)) * 3 + 1
+    g = rng.normal(size=x.shape)
+    got, want = forward_and_grad(ad.layer_norm, x, g), layer_norm_naive(x, g)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+@pytest.mark.parametrize("n", LENGTHS)
+def test_softmax_equals_method_reference(n, axis):
+    rng = np.random.default_rng(n)
+    shape = [3, 4, 5]
+    shape[axis] = n
+    x = rng.normal(size=shape) * 4
+    g = rng.normal(size=x.shape)
+    got = forward_and_grad(ad.softmax, x, g, axis=axis)
+    want = softmax_naive(x, g, axis=axis)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("axes", list(itertools.permutations(range(4))))
+def test_permute_gradient_returns_each_entry_to_its_source(axes):
+    # the input holds its own flat indices, so the output says where each
+    # upstream gradient entry must land
+    x = np.arange(120.0).reshape(2, 3, 4, 5)
+    g = np.random.default_rng(0).normal(size=x.transpose(axes).shape)
+    out, grad = forward_and_grad(ad.permute, x, g, axes=axes)
+    want = np.empty(x.size)
+    want[out.astype(int).ravel()] = g.ravel()
+    assert np.array_equal(grad, want.reshape(x.shape))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_concat_gradient_splits_at_each_part(axis):
+    rng = np.random.default_rng(1)
+    sizes = (1, 3, 2)
+    parts = []
+    for size in sizes:
+        shape = [2, 3, 4]
+        shape[axis] = size
+        parts.append(ad.Tensor(rng.normal(size=shape), requires_grad=True))
+    out = ad.concat(parts, axis=axis)
+    g = rng.normal(size=out.shape)
+    ad.backward(dot_loss(out, g))
+    start = 0
+    for part, size in zip(parts, sizes):
+        assert np.array_equal(part.grad, np.take(g, range(start, start + size), axis=axis))
+        start += size
+
+
+def test_op_bodies_call_ufunc_reductions_and_leave_backward_work_to_bwd():
+    """The op-body rule: reductions call the ufunc's ``reduce``, so no
+    ``.mean(``/``.sum(`` call (method or ``np.``) appears in the engine,
+    and ``np.argsort``/``np.cumsum``, which only a backward needs, run
+    only inside a nested ``bwd``, so inference never pays for them. The
+    integer id-range checks' ``.min()``/``.max()`` are not linted."""
+    tree = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
+    in_bwd = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for inner in ast.walk(fn):
+                if isinstance(inner, ast.FunctionDef) and inner is not fn and inner.name == "bwd":
+                    in_bwd.update(id(node) for node in ast.walk(inner))
+    found, deferred = [], set()
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "attr", None)
+        if name not in ("mean", "sum", "argsort", "cumsum"):
+            continue
+        if name in ("argsort", "cumsum") and id(call) in in_bwd:
+            deferred.add(name)
+        else:
+            found.append(f"autodiff.py:{call.lineno} .{name}(")
+    assert found == [] and deferred == {"argsort", "cumsum"}
 
 
 # ---------------------------------------------------------------------------

@@ -725,18 +725,21 @@ class TestPredict:
                     "--out", str(tmp_path / "x.pgm"),
                     "--overlay", str(tmp_path / "o.ppm")]) == 1
 
-    def test_checkpoint_config_mismatch(self, trained, tmp_path):
-        other = ModelConfig(image_size=64, patch_size=8, embed_dim=24,
-                            encoder_layers=1, decoder_layers=1, heads=2,
-                            max_output_tokens=16)
+    def test_checkpoint_config_mismatch(self, trained, tmp_path, capsys):
+        # a 16-wide checkpoint under a 24-wide config: the one error line
+        # names the checkpoint, not the config
         cfg_path = tmp_path / "other.txt"
-        write_config(cfg_path, other)
+        write_config(cfg_path, dataclasses.replace(SLIM, embed_dim=24))
         img_path = tmp_path / "img.ppm"
         write_ppm(img_path, gen_saliency_task(9, 1).samples[0].image)
-        assert run(["predict", str(img_path), "--ckpt", str(trained / "model.ckpt"),
+        ckpt = trained / "model.ckpt"
+        assert run(["predict", str(img_path), "--ckpt", str(ckpt),
                     "--config", str(cfg_path),
                     "--prompt", "INPUT_TYPE: natural image OUTPUT_TYPE: aesthetics score"
                     ]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: tensor patch_proj.w has shape (192, 16), "
+            "but the config expects (192, 24)"]
 
 
 class TestOverlayDrawing:

@@ -621,6 +621,17 @@ def test_params_checkpoint_config_mismatch(tmp_path):
         M.load_params(path, CFG)
 
 
+def test_params_checkpoint_inventory_mismatch_names_the_file(tmp_path):
+    params = M.init_params(SMALL, seed=0)
+    params["extra.w"] = params.pop("out.w")
+    path = tmp_path / "model.ckpt"
+    M.save_params(path, params)
+    with pytest.raises(ParseError) as e:
+        M.load_params(path, SMALL)
+    assert str(e.value) == (f"{path}: tensors do not match the config "
+                            "(missing ['out.w'], unexpected ['extra.w'])")
+
+
 # ---------------------------------------------------------------------------
 # finiteness boundaries: finite weights that overflow one op
 
