@@ -15,8 +15,11 @@ what ``x.mean`` computes for float64, minus its Python wrapper), and
 work only the backward needs happens inside ``bwd``. Convolutions are
 one im2col-plus-matmul primitive and its adjoint: ``conv2d`` runs the
 primitive forward and the adjoint for its input gradient,
-``conv2d_transpose`` the other way round. Both are checked against
-the explicit-loop oracles in the test suite.
+``conv2d_transpose`` the other way round. The adjoint splits a
+stride-s transposed convolution into s x s phase sub-convolutions, one
+per output residue (row mod s, column mod s), each with the taps that
+reach it, so it multiplies no zeros. Both are checked against the
+explicit-loop oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -396,16 +399,25 @@ def _conv(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
 
 
 def _conv_adjoint(g: np.ndarray, w: np.ndarray, stride: int, pad: int, hw) -> np.ndarray:
-    """Adjoint of ``_conv`` in its input, for an (h, w) input ``hw``:
-    ``g`` placed ``stride`` apart on a zero canvas, a stride-1 ``_conv``
-    with the flipped, channel-swapped kernel, and ``pad`` cropped from
-    each side (Dumoulin & Visin 2016, arXiv 1603.07285)."""
+    """Adjoint of ``_conv`` in its input, for an (h, w) input ``hw``, with
+    ``pad`` cropped from each side (Dumoulin & Visin 2016, arXiv
+    1603.07285). Uncropped row ``y`` gets only the taps ``ky`` with
+    ``ky % stride == y % stride``, so each phase ``(ry, rx)`` is a stride-1
+    ``_conv`` of ``g``, padded by its sub-kernel's size minus one, with
+    the sub-kernel ``w[ry::stride, rx::stride]`` flipped and
+    channel-swapped. A phase without taps or rows stays zero."""
     kh, kw = w.shape[:2]
     h, wd = hw
-    n, oh, ow, c = g.shape
-    canvas = np.zeros((n, h + 2 * pad + kh - 1, wd + 2 * pad + kw - 1, c))
-    canvas[:, kh - 1:kh - 1 + stride * oh:stride, kw - 1:kw - 1 + stride * ow:stride] = g
-    full, _ = _conv(canvas, w[::-1, ::-1].transpose(0, 1, 3, 2), 1, 0)
+    full = np.zeros((g.shape[0], h + 2 * pad, wd + 2 * pad, w.shape[2]))
+    for ry in range(min(stride, kh, h + 2 * pad)):
+        for rx in range(min(stride, kw, wd + 2 * pad)):
+            sub = w[ry::stride, rx::stride]
+            py, px = sub.shape[0] - 1, sub.shape[1] - 1
+            gp = np.pad(g, ((0, 0), (py, py), (px, px), (0, 0))) if py or px else g
+            out, _ = _conv(gp, sub[::-1, ::-1].transpose(0, 1, 3, 2), 1, 0)
+            dst = full[:, ry::stride, rx::stride]
+            qy, qx = min(dst.shape[1], out.shape[1]), min(dst.shape[2], out.shape[2])
+            dst[:, :qy, :qx] = out[:, :qy, :qx]
     return full[:, pad:pad + h, pad:pad + wd]
 
 

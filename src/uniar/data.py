@@ -340,9 +340,9 @@ def write_grid(path, obj) -> None:
     else:
         raise ValidationError("write_grid takes a GrayMap or SegmentationMap")
     h, w = arr.shape
+    row_fmt = " ".join([fmt] * w)
     lines = [f"{_GRID_MAGIC} {w} {h} {mode}"]
-    for row in arr:
-        lines.append(" ".join(fmt % v for v in row))
+    lines.extend(row_fmt % tuple(row) for row in arr.tolist())
     _write_output(path, "\n".join(lines) + "\n")
 
 

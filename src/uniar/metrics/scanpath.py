@@ -4,6 +4,15 @@ String-based scores discretize fixations (mean-shift cluster ids or
 semantic segmentation labels) and compare the resulting sequences with
 alignment DP. MultiMatch compares geometric saccade structure on a
 minimum-cost monotone alignment of the two vector sequences.
+
+Per-element loops (the DP cells, the backtrack, the per-pair sums, the
+mode merge) run on Python floats and lists, with cells compared inline
+rather than through ``min``/``max``: indexing a numpy array one scalar
+at a time costs more than the arithmetic. Work that is whole-array
+(distance matrices, the mean-shift iteration, ``np.diff``) stays in
+numpy. The arithmetic and its order are those of IEEE float64 either
+way, so the scores are bit for bit those of the numpy-scalar loops the
+test suite keeps as oracles.
 """
 
 from __future__ import annotations
@@ -85,18 +94,19 @@ def meanshift_clusters(points, bandwidth: float | None = None,
         idx = np.flatnonzero(active)
         active[idx[~still]] = False
 
-    centers: list[np.ndarray] = []
-    labels = np.empty(len(pts), dtype=np.int64)
+    centers: list[list[float]] = []
+    labels: list[int] = []
     half = bandwidth / 2.0
-    for i, mode in enumerate(walkers):
-        for k, c in enumerate(centers):
-            if math.hypot(mode[0] - c[0], mode[1] - c[1]) < half:
-                labels[i] = k
+    for mode in walkers.tolist():
+        x, y = mode
+        for k, (cx, cy) in enumerate(centers):
+            if math.hypot(x - cx, y - cy) < half:
+                labels.append(k)
                 break
         else:
-            labels[i] = len(centers)
-            centers.append(mode.copy())
-    return MeanShiftResult(centers=np.asarray(centers), labels=labels, bandwidth=float(bandwidth))
+            labels.append(len(centers))
+            centers.append(mode)
+    return MeanShiftResult(centers=centers, labels=labels, bandwidth=float(bandwidth))
 
 
 def assign_to_clusters(clusters: MeanShiftResult, points) -> np.ndarray:
@@ -116,12 +126,18 @@ def nw_similarity(a, b) -> float:
     if not a or not b:
         raise ValidationError("alignment needs two non-empty sequences")
     n, m = len(a), len(b)
-    score = np.zeros((n + 1, m + 1))
-    for i in range(1, n + 1):
+    prev = [0.0] * (m + 1)
+    for x in a:
+        cur = [0.0] * (m + 1)
         for j in range(1, m + 1):
-            diag = score[i - 1, j - 1] + (1.0 if a[i - 1] == b[j - 1] else 0.0)
-            score[i, j] = max(diag, score[i - 1, j], score[i, j - 1])
-    return float(score[n, m]) / max(n, m)
+            best = prev[j - 1] + (1.0 if x == b[j - 1] else 0.0)
+            if prev[j] > best:
+                best = prev[j]
+            if cur[j - 1] > best:
+                best = cur[j - 1]
+            cur[j] = best
+        prev = cur
+    return prev[m] / max(n, m)
 
 
 def levenshtein(a, b) -> int:
@@ -130,10 +146,15 @@ def levenshtein(a, b) -> int:
     n, m = len(a), len(b)
     prev = list(range(m + 1))
     for i in range(1, n + 1):
+        x = a[i - 1]
         cur = [i] + [0] * m
         for j in range(1, m + 1):
-            sub = prev[j - 1] + (0 if a[i - 1] == b[j - 1] else 1)
-            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
+            best = prev[j - 1] + (0 if x == b[j - 1] else 1)
+            if prev[j] + 1 < best:
+                best = prev[j] + 1
+            if cur[j - 1] + 1 < best:
+                best = cur[j - 1] + 1
+            cur[j] = best
         prev = cur
     return prev[m]
 
@@ -204,30 +225,37 @@ def _align_vectors(u: np.ndarray, v: np.ndarray):
     Returns the aligned index pairs along the path. Ties prefer the
     diagonal, then the u-advancing step."""
     n, m = len(u), len(v)
-    cost = np.sqrt(((u[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
-    total = np.full((n, m), np.inf)
-    total[0, 0] = cost[0, 0]
-    for i in range(n):
-        for j in range(m):
-            if i == 0 and j == 0:
-                continue
-            best = np.inf
-            if i > 0 and j > 0:
-                best = total[i - 1, j - 1]
-            if i > 0:
-                best = min(best, total[i - 1, j])
-            if j > 0:
-                best = min(best, total[i, j - 1])
-            total[i, j] = cost[i, j] + best
+    cost = np.sqrt(((u[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)).tolist()
+    row = [cost[0][0]]
+    for j in range(1, m):
+        row.append(cost[0][j] + row[j - 1])
+    total = [row]
+    for i in range(1, n):
+        up, c = total[i - 1], cost[i]
+        row = [c[0] + up[0]]
+        for j in range(1, m):
+            best = up[j - 1]
+            if up[j] < best:
+                best = up[j]
+            if row[j - 1] < best:
+                best = row[j - 1]
+            row.append(c[j] + best)
+        total.append(row)
     pairs = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and total[i - 1, j - 1] <= min(total[i - 1, j], total[i, j - 1]):
-            i, j = i - 1, j - 1
-        elif i > 0 and (j == 0 or total[i - 1, j] <= total[i, j - 1]):
+        if i == 0:
+            j = j - 1
+        elif j == 0:
             i = i - 1
         else:
-            j = j - 1
+            up, left = total[i - 1][j], total[i][j - 1]
+            if total[i - 1][j - 1] <= (left if left < up else up):
+                i, j = i - 1, j - 1
+            elif up <= left:
+                i = i - 1
+            else:
+                j = j - 1
         pairs.append((i, j))
     pairs.reverse()
     return pairs
@@ -261,12 +289,15 @@ def multimatch(pred: Scanpath, gt: Scanpath) -> MultiMatchScores:
     v = np.diff(gt.fixations, axis=0)
     pairs = _align_vectors(u, v)
 
+    u, v = u.tolist(), v.tolist()
+    fp, fg = pred.fixations.tolist(), gt.fixations.tolist()
     d_shape = d_len = d_dir = d_pos = 0.0
     for i, j in pairs:
-        d_shape += math.hypot(*(u[i] - v[j])) / diag2
-        d_len += abs(math.hypot(*u[i]) - math.hypot(*v[j])) / diag2
+        (ux, uy), (vx, vy) = u[i], v[j]
+        d_shape += math.hypot(ux - vx, uy - vy) / diag2
+        d_len += abs(math.hypot(ux, uy) - math.hypot(vx, vy)) / diag2
         d_dir += _angle_between(u[i], v[j]) / math.pi
-        d_pos += math.hypot(*(pred.fixations[i] - gt.fixations[j])) / diag2
+        d_pos += math.hypot(fp[i][0] - fg[j][0], fp[i][1] - fg[j][1]) / diag2
     k = len(pairs)
     return MultiMatchScores(
         shape=1.0 - d_shape / k,

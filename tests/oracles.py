@@ -5,7 +5,10 @@ sums. No code is shared with the library paths under test; the grid
 reader oracle only borrows the package's error and map types, so its
 results compare directly with `read_grid`'s, and `grad_check` only
 calls `backward` to get the gradients it checks against central
-differences."""
+differences. The `*_ref` scanpath functions are the library's earlier
+loops over numpy scalars, kept as they were; they borrow only the
+result types and `default_bandwidth`. `write_grid_ref` is the earlier
+grid writer, one `%` per value."""
 
 import math
 import re
@@ -14,7 +17,8 @@ import numpy as np
 
 from uniar import autodiff as ad
 from uniar.errors import ParseError, ValidationError
-from uniar.types import GrayMap, SegmentationMap
+from uniar.metrics.scanpath import MeanShiftResult, MultiMatchScores, default_bandwidth
+from uniar.types import FixationSet, GrayMap, Scanpath, SegmentationMap
 
 
 def _flat(values2d):
@@ -431,3 +435,184 @@ def read_grid_naive(path):
     if mode == "int":
         return SegmentationMap(width, height, np.asarray(rows, dtype=np.int64))
     return GrayMap(width, height, np.asarray(rows, dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
+# scanpath metrics as they ran on numpy scalars, kept verbatim; the
+# library's Python-float loops must equal them bit for bit
+
+
+def meanshift_clusters_ref(points, bandwidth: float | None = None,
+                           move_tol: float = 1e-3, max_iter: int = 300) -> MeanShiftResult:
+    """Flat-kernel mean shift.
+
+    Every point walks to the mean of the original points within
+    ``bandwidth`` of its current position, until it moves less than
+    ``move_tol`` or ``max_iter`` iterations pass. Converged modes
+    closer than bandwidth/2 to an earlier mode are merged into it.
+
+    ``points`` may be a FixationSet (bandwidth defaults to a tenth of
+    its frame diagonal) or an (N, 2) array (bandwidth required).
+    """
+    if isinstance(points, FixationSet):
+        if bandwidth is None:
+            bandwidth = default_bandwidth(points.frame)
+        pts = points.points
+    else:
+        pts = np.asarray(points, dtype=np.float64)
+        if bandwidth is None:
+            raise ValidationError("bandwidth required when points carry no frame")
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
+        raise ValidationError(f"points must have shape (N, 2) with N >= 1, got {pts.shape}")
+    if not (bandwidth > 0):
+        raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
+
+    walkers = pts.copy()
+    active = np.ones(len(pts), dtype=bool)
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        cur = walkers[active]
+        d2 = ((cur[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        near = d2 <= bandwidth * bandwidth
+        counts = near.sum(axis=1)
+        means = (near.astype(np.float64) @ pts) / counts[:, None]
+        moved = np.sqrt(((means - cur) ** 2).sum(axis=1))
+        walkers[active] = means
+        still = moved >= move_tol
+        idx = np.flatnonzero(active)
+        active[idx[~still]] = False
+
+    centers: list[np.ndarray] = []
+    labels = np.empty(len(pts), dtype=np.int64)
+    half = bandwidth / 2.0
+    for i, mode in enumerate(walkers):
+        for k, c in enumerate(centers):
+            if math.hypot(mode[0] - c[0], mode[1] - c[1]) < half:
+                labels[i] = k
+                break
+        else:
+            labels[i] = len(centers)
+            centers.append(mode.copy())
+    return MeanShiftResult(centers=np.asarray(centers), labels=labels, bandwidth=float(bandwidth))
+
+
+def nw_similarity_ref(a, b) -> float:
+    """Global alignment score with match 1, mismatch 0, gap 0,
+    normalized by the longer sequence length."""
+    a, b = list(a), list(b)
+    if not a or not b:
+        raise ValidationError("alignment needs two non-empty sequences")
+    n, m = len(a), len(b)
+    score = np.zeros((n + 1, m + 1))
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            diag = score[i - 1, j - 1] + (1.0 if a[i - 1] == b[j - 1] else 0.0)
+            score[i, j] = max(diag, score[i - 1, j], score[i, j - 1])
+    return float(score[n, m]) / max(n, m)
+
+
+def align_vectors_ref(u: np.ndarray, v: np.ndarray):
+    """Minimum-cost monotone lattice path over the |u_i - v_j| cost
+    matrix, stepping diagonal/down/right from (0,0) to (n-1,m-1).
+    Returns the aligned index pairs along the path. Ties prefer the
+    diagonal, then the u-advancing step."""
+    n, m = len(u), len(v)
+    cost = np.sqrt(((u[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
+    total = np.full((n, m), np.inf)
+    total[0, 0] = cost[0, 0]
+    for i in range(n):
+        for j in range(m):
+            if i == 0 and j == 0:
+                continue
+            best = np.inf
+            if i > 0 and j > 0:
+                best = total[i - 1, j - 1]
+            if i > 0:
+                best = min(best, total[i - 1, j])
+            if j > 0:
+                best = min(best, total[i, j - 1])
+            total[i, j] = cost[i, j] + best
+    pairs = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and total[i - 1, j - 1] <= min(total[i - 1, j], total[i, j - 1]):
+            i, j = i - 1, j - 1
+        elif i > 0 and (j == 0 or total[i - 1, j] <= total[i, j - 1]):
+            i = i - 1
+        else:
+            j = j - 1
+        pairs.append((i, j))
+    pairs.reverse()
+    return pairs
+
+
+def _angle_between_ref(u, v) -> float:
+    # atan2 form stays exact for parallel vectors where acos of a
+    # rounded dot product would not.
+    if (u[0] == 0.0 and u[1] == 0.0) or (v[0] == 0.0 and v[1] == 0.0):
+        return 0.0
+    dot = u[0] * v[0] + u[1] * v[1]
+    cross = u[0] * v[1] - u[1] * v[0]
+    return math.atan2(abs(cross), dot)
+
+
+def multimatch_ref(pred: Scanpath, gt: Scanpath) -> MultiMatchScores:
+    """Geometric scanpath similarity on aligned saccade pairs.
+
+    Both paths need at least two fixations. Saccade vectors are
+    aligned by minimum-cost monotone matching; per pair the shape
+    (vector difference), length (amplitude difference) and position
+    (distance between the aligned saccades' start fixations) are
+    normalized by twice the frame diagonal, direction by pi, averaged,
+    and reported as 1 - dissimilarity."""
+    if pred.frame != gt.frame:
+        raise ValidationError(f"scanpath frames differ: {pred.frame} vs {gt.frame}")
+    if len(pred) < 2 or len(gt) < 2:
+        raise ValidationError("MultiMatch needs at least two fixations per path")
+    w, h = pred.frame
+    diag2 = 2.0 * math.hypot(w, h)
+    u = np.diff(pred.fixations, axis=0)
+    v = np.diff(gt.fixations, axis=0)
+    pairs = align_vectors_ref(u, v)
+
+    d_shape = d_len = d_dir = d_pos = 0.0
+    for i, j in pairs:
+        d_shape += math.hypot(*(u[i] - v[j])) / diag2
+        d_len += abs(math.hypot(*u[i]) - math.hypot(*v[j])) / diag2
+        d_dir += _angle_between_ref(u[i], v[j]) / math.pi
+        d_pos += math.hypot(*(pred.fixations[i] - gt.fixations[j])) / diag2
+    k = len(pairs)
+    return MultiMatchScores(
+        shape=1.0 - d_shape / k,
+        length=1.0 - d_len / k,
+        direction=1.0 - d_dir / k,
+        position=1.0 - d_pos / k,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the grid writer as it formatted one numpy scalar at a time
+
+
+def write_grid_ref(path, obj) -> None:
+    """GrayMap -> float grid, SegmentationMap -> int grid.
+
+    Header `UARGRID <width> <height> <float|int>`, then height rows of
+    width space-separated values. Floats print with 17 significant
+    digits, enough to reproduce the float64 exactly on read.
+    """
+    if isinstance(obj, GrayMap):
+        mode, arr = "float", obj.values
+        fmt = "%.17g"
+    elif isinstance(obj, SegmentationMap):
+        mode, arr = "int", obj.labels
+        fmt = "%d"
+    else:
+        raise ValidationError("write_grid takes a GrayMap or SegmentationMap")
+    h, w = arr.shape
+    lines = [f"UARGRID {w} {h} {mode}"]
+    for row in arr:
+        lines.append(" ".join(fmt % v for v in row))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))

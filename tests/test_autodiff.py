@@ -287,11 +287,17 @@ def test_conv2d_equals_package_loop_reference(stride, pad):
     assert np.allclose(fast, slow, atol=1e-12)
 
 
-@pytest.mark.parametrize("stride,pad", [(2, 0), (2, 1), (1, 0)])
-def test_conv2d_transpose_matches_scatter_oracle(stride, pad):
+# 4x4 kernels, then phases without taps (kh < stride) and phases with
+# unequal tap counts, at every pad below the kernel size
+@pytest.mark.parametrize("stride,pad,kh", [
+    *(pytest.param(s, p, 4, id=f"{s}-{p}") for s, p in ((2, 0), (2, 1), (1, 0))),
+    *(pytest.param(s, p, k, id=f"{s}-{p}-kh{k}")
+      for k, s in ((2, 3), (3, 2), (1, 2)) for p in range(k)),
+])
+def test_conv2d_transpose_matches_scatter_oracle(stride, pad, kh):
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 3, 2))
-    w = rng.normal(size=(4, 4, 3, 2))
+    w = rng.normal(size=(kh, kh if kh == 4 else kh + 1, 3, 2))
     got = ad.conv2d_transpose(ad.Tensor(x[None]), ad.Tensor(w), stride=stride, pad=pad).data[0]
     want = np.array(conv2d_transpose_naive(x.tolist(), w.tolist(), stride=stride, pad=pad))
     assert np.allclose(got, want, atol=1e-12)
@@ -303,6 +309,13 @@ def test_conv2d_transpose_matches_scatter_oracle(stride, pad):
        seed=st.integers(0, 2**32 - 1))
 @example(n=1, h=4, wd=5, cin=2, cout=3, kh=2, kw=2, stride=3, pad=2, seed=0)
 @example(n=2, h=6, wd=3, cin=1, cout=2, kh=3, kw=1, stride=2, pad=3, seed=1)
+# transposed-conv phases without taps (kh < stride) and with unequal tap counts
+@example(n=1, h=5, wd=4, cin=2, cout=3, kh=2, kw=2, stride=3, pad=0, seed=2)
+@example(n=1, h=5, wd=4, cin=2, cout=3, kh=2, kw=3, stride=3, pad=1, seed=3)
+@example(n=1, h=5, wd=4, cin=2, cout=3, kh=3, kw=3, stride=2, pad=0, seed=4)
+@example(n=1, h=5, wd=4, cin=2, cout=3, kh=3, kw=2, stride=2, pad=1, seed=5)
+@example(n=1, h=5, wd=4, cin=2, cout=3, kh=3, kw=3, stride=2, pad=2, seed=6)
+@example(n=1, h=5, wd=4, cin=2, cout=3, kh=1, kw=1, stride=2, pad=0, seed=7)
 @settings(max_examples=80)
 def test_conv_input_gradient_is_exactly_the_transpose(n, h, wd, cin, cout, kh, kw,
                                                      stride, pad, seed):

@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import read_grid_naive
+from oracles import read_grid_naive, write_grid_ref
 from uniar import data
 from uniar.data import (
     BLOB_MARGIN,
@@ -334,6 +334,20 @@ class TestGrid:
         assert np.array_equal(back.labels, seg.labels)
         write_grid(p, SegmentationMap(2, 1, np.array([[0, 2**63 - 1]])))
         assert read_grid(p).labels.tolist() == [[0, 2**63 - 1]]
+
+    @pytest.mark.parametrize("grid", [
+        GrayMap(3, 2, [[-0.0, 5e-324, 1.7976931348623157e308], [0.1, 1 / 3, -2.5]]),
+        GrayMap(1, 1, [[0.0]]),
+        GrayMap(16, 8, np.random.default_rng(0).standard_normal((8, 16)) * 1e3),
+        SegmentationMap(3, 2, [[0, 2**62, 7], [2**62, 0, 1]]),
+        SegmentationMap(1, 1, [[0]]),
+    ], ids=["float", "float-1x1", "float-16x8", "int", "int-1x1"])
+    def test_write_grid_bytes_equal_per_value_writer(self, grid, tmp_path):
+        # one `%` per row over Python numbers, against the earlier writer's
+        # one `%` per numpy scalar
+        write_grid(tmp_path / "new.grid", grid)
+        write_grid_ref(tmp_path / "ref.grid", grid)
+        assert (tmp_path / "new.grid").read_bytes() == (tmp_path / "ref.grid").read_bytes()
 
     def test_two_by_two_int_grid_is_three_lines(self, tmp_path):
         p = tmp_path / "s.grid"

@@ -1,12 +1,24 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import lcs_naive, levenshtein_naive, meanshift_naive
+from oracles import (
+    align_vectors_ref,
+    lcs_naive,
+    levenshtein_naive,
+    meanshift_clusters_ref,
+    meanshift_naive,
+    multimatch_ref,
+    nw_similarity_ref,
+)
+from uniar import cli
+from uniar.data import write_grid, write_scanpaths
 from uniar.errors import NumericError, ValidationError
 from uniar.metrics import (
     assign_to_clusters,
@@ -19,10 +31,13 @@ from uniar.metrics import (
     semss,
     sequence_score,
 )
+from uniar.metrics import scanpath
 from uniar.metrics.scanpath import MeanShiftResult, _align_vectors, _seg_labels
-from uniar.types import FixationSet, Scanpath, SegmentationMap
+from uniar.types import FixationSet, PromptSpec, Scanpath, SegmentationMap
 
 seqs = st.lists(st.integers(0, 4), min_size=1, max_size=10)
+# longer strings over a smaller alphabet, so the DPs meet many ties
+seqs30 = st.lists(st.integers(0, 3), min_size=1, max_size=30)
 
 
 class TestAlignmentScores:
@@ -51,7 +66,7 @@ class TestAlignmentScores:
         assert levenshtein("", "abc") == 3
         assert levenshtein("abc", "abc") == 0
 
-    @given(seqs, seqs)
+    @given(seqs30, seqs30)
     def test_levenshtein_matches_naive(self, a, b):
         assert levenshtein(a, b) == levenshtein_naive(tuple(a), tuple(b))
 
@@ -280,3 +295,96 @@ class TestMultiMatch:
         b = Scanpath(frame=(100, 50), fixations=[[10, 10], [20, 20]])
         with pytest.raises(ValidationError):
             multimatch(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the Python-float loops against the numpy-scalar loops they replaced, bit
+# for bit (levenshtein's oracle is levenshtein_naive, above); small
+# alphabets and integer-valued vectors make ties common
+
+vectors30 = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                     min_size=1, max_size=30).map(lambda v: np.array(v, dtype=np.float64))
+points31 = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5)), min_size=2, max_size=31)
+
+
+class TestMatchesNumpyScalarOracles:
+    @given(seqs30, seqs30)
+    def test_nw_similarity(self, a, b):
+        assert nw_similarity(a, b) == nw_similarity_ref(a, b)
+
+    @given(vectors30, vectors30)
+    @settings(max_examples=300)
+    # backtrack ties: the u step beats the v step when their totals are equal
+    @example(np.array([[-1.0, 1.0], [-1.0, 0.0], [1.0, 0.0]]),
+             np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0]]))
+    def test_align_vectors_pairs(self, u, v):
+        assert _align_vectors(u, v) == align_vectors_ref(u, v)
+
+    @given(points31, points31)
+    def test_multimatch_all_four_scores(self, a, b):
+        pred, gt = Scanpath((8, 6), a), Scanpath((8, 6), b)
+        assert multimatch(pred, gt) == multimatch_ref(pred, gt)
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=30),
+           st.sampled_from([2.0, 3.0, 10.0]), st.sampled_from([0, 300]))
+    @example([(0, 0), (1, 0), (6, 8)], 2.0, 0)
+    @example([(0, 0), (3, 4), (1, 1)], 10.0, 0)
+    def test_meanshift_centers_and_labels(self, points, bandwidth, max_iter):
+        # max_iter 0 merges the grid points themselves, so modes exactly
+        # half a bandwidth apart (1 or 5) occur
+        pts = np.array(points, dtype=np.float64)
+        got = meanshift_clusters(pts, bandwidth=bandwidth, max_iter=max_iter)
+        want = meanshift_clusters_ref(pts, bandwidth=bandwidth, max_iter=max_iter)
+        assert got.centers.shape == want.centers.shape
+        assert np.all(got.centers == want.centers)
+        assert got.labels.tolist() == want.labels.tolist()
+
+    def test_eval_scanpath_csv_equals_oracle_csv(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(15)
+        prompt = PromptSpec("natural image", "scanpath")
+        for name in ("pred", "gt", "seg"):
+            (tmp_path / name).mkdir()
+        for i in range(12):
+            for name in ("pred", "gt"):
+                n = int(rng.integers(2, 26))
+                fix = rng.integers(0, 64, size=(n, 2)).astype(np.float64)
+                write_scanpaths(tmp_path / name / f"{i:02d}.jsonl", [(Scanpath((64, 64), fix), prompt)])
+            labels = rng.integers(0, 4, size=(8, 8)).repeat(8, axis=0).repeat(8, axis=1)
+            write_grid(tmp_path / "seg" / f"{i:02d}.grid", SegmentationMap(64, 64, labels))
+
+        def eval_csv(out):
+            argv = ["eval-scanpath", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                    "--seg", str(tmp_path / "seg"), "--out", str(out)]
+            assert cli.run(argv) == 0
+            return out.read_bytes()
+
+        fast = eval_csv(tmp_path / "fast.csv")
+        monkeypatch.setattr(cli, "meanshift_clusters", meanshift_clusters_ref)
+        monkeypatch.setattr(cli, "multimatch", multimatch_ref)
+        monkeypatch.setattr(scanpath, "nw_similarity", nw_similarity_ref)
+        monkeypatch.setattr(scanpath, "levenshtein", levenshtein_naive)
+        assert eval_csv(tmp_path / "oracle.csv") == fast
+
+
+def test_alignment_loops_index_no_numpy_array():
+    """The loop rule: no loop in the alignment DPs or MultiMatch's sums
+    subscripts with a tuple (``x[i, j]``) or calls ``np.*``, so those
+    loops stay on Python floats and lists."""
+    tree = ast.parse(Path(scanpath.__file__).read_text(encoding="utf-8"))
+    checked, found = set(), []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in (
+                "nw_similarity", "levenshtein", "_align_vectors", "multimatch"):
+            continue
+        checked.add(fn.name)
+        for loop in ast.walk(fn):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+                    found.append(f"{fn.name}:{node.lineno} tuple subscript")
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                    found.append(f"{fn.name}:{node.lineno} np.{node.func.attr}(")
+    assert checked == {"nw_similarity", "levenshtein", "_align_vectors", "multimatch"}
+    assert found == []
