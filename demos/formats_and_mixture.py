@@ -32,9 +32,12 @@ print("working under", root)
 
 m = GrayMap(3, 2, [[0.1, 0.5, 1.0], [0.0, 1 / 3, 0.999999]])
 write_grid(root / "m.grid", m)
-print("\ntext grid, exact float64 round trip:")
-print((root / "m.grid").read_text(), end="")
-assert np.array_equal(read_grid(root / "m.grid").values, m.values)
+raw = (root / "m.grid").read_bytes()
+header, _, payload = raw.partition(b"\n")
+print("\nbinary grid, exact float64 round trip:")
+print(f"header {header.decode()!r}, then {len(payload)} bytes "
+      f"(3 x 2 little-endian float64), {len(raw)} bytes in all")
+assert read_grid(root / "m.grid").values.tobytes() == m.values.tobytes()
 print("round trip exact:", True)
 
 write_pgm(root / "m.pgm", m)
@@ -42,7 +45,8 @@ back = read_pgm(root / "m.pgm")
 print(f"16-bit pgm, quantized round trip: max err "
       f"{np.abs(back.values - m.values).max():.2e} (bound {0.5 / 65535:.2e})")
 
-# parse errors carry the file, the line and the character column of the bad token
+# text grids are still read; their parse errors carry the file, the line
+# and the character column of the bad token
 (root / "bad.grid").write_text("UARGRID 3 2 float\n0.1 0.5 1.0\n0.0 oops 1.0\n")
 try:
     read_grid(root / "bad.grid")

@@ -135,10 +135,3 @@ def decode_robust(raw: str, frame) -> DecodeResult:
     path = dequantize(BinnedScanpath(np.asarray(bins, dtype=np.int64)), (w, h))
     return DecodeResult(scanpath=path, fixations_recovered=len(bins))
 
-
-def valid_rate(results) -> float:
-    """Fraction of decode results that recovered a scanpath."""
-    results = list(results)
-    if not results:
-        raise ValidationError("valid_rate needs at least one decode result")
-    return sum(1 for r in results if r.valid) / len(results)

@@ -8,7 +8,8 @@ index), so any single stimulus can be regenerated without building the
 whole set, and a dataset of n samples is a prefix of the same seed's
 dataset of n + k.
 
-Formats: text grids (`UARGRID` header), binary PGM (P5, 16-bit) for
+Formats: binary grids (`UARGRID` header line, little-endian float64 or
+int64 payload; text grids are still read), binary PGM (P5, 16-bit) for
 maps, binary PPM (P6) for images, JSON lines for scanpaths, CSV tables
 for rating pairs, scores and reports, `key = value` text for handle
 metadata and model configs. This module is the only one that knows a
@@ -263,16 +264,20 @@ def mixture_next(cfg: MixtureConfig, rng_state: np.random.Generator):
 
 def _read_input(path, binary=False):
     """The one place an input file is opened. Returns its bytes, or its
-    UTF-8 text as lines that keep their ends, cut at `\\n`, `\\r` and
-    `\\r\\n` only. A file that cannot be read, or bytes that are not UTF-8,
-    raise ParseError, the latter at the line and column where they start."""
+    UTF-8 text as `_text_lines` cuts it. A file that cannot be read
+    raises ParseError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as e:
         raise ParseError(e.strerror or str(e))
-    if binary:
-        return raw
+    return raw if binary else _text_lines(raw)
+
+
+def _text_lines(raw: bytes):
+    """UTF-8 bytes as lines that keep their ends, cut at `\\n`, `\\r` and
+    `\\r\\n` only. Bytes that are not UTF-8 raise ParseError at the line
+    and column where they start."""
     try:
         text, bad = raw.decode("utf-8"), None
     except UnicodeDecodeError as e:
@@ -291,11 +296,13 @@ def _read_input(path, binary=False):
     return lines
 
 
-def _write_output(path, content) -> None:
-    """The one place a file is opened for writing: ``content`` is bytes,
-    or text written as UTF-8 exactly as given, line ends untranslated."""
+def _write_output(path, *chunks) -> None:
+    """The one place a file is opened for writing, with ``chunks`` in
+    order: text is written as UTF-8 exactly as given, line ends
+    untranslated; bytes, or a C-contiguous array, as they are in memory."""
     with open(path, "wb") as fh:
-        fh.write(content.encode("utf-8") if isinstance(content, str) else content)
+        for chunk in chunks:
+            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
 
 
 def reads_file(reader):
@@ -314,10 +321,14 @@ def reads_file(reader):
 
 
 # ---------------------------------------------------------------------------
-# text grids
+# grids
 
 _GRID_MAGIC = "UARGRID"
 _INT64 = np.iinfo(np.int64)
+# a binary grid's header line is followed by exactly 8 * width * height
+# bytes: the values, row-major, as little-endian float64 or int64
+_BINARY_DTYPES = {"float64le": np.dtype("<f8"), "int64le": np.dtype("<i8")}
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 def _tokens_with_columns(line: str):
@@ -325,25 +336,69 @@ def _tokens_with_columns(line: str):
 
 
 def write_grid(path, obj) -> None:
-    """GrayMap -> float grid, SegmentationMap -> int grid.
+    """GrayMap -> float64le grid, SegmentationMap -> int64le grid.
 
-    Header `UARGRID <width> <height> <float|int>`, then height rows of
-    width space-separated values. Floats print with 17 significant
-    digits, enough to reproduce the float64 exactly on read.
+    The ASCII header line `UARGRID <width> <height> <mode>`, then the
+    values row-major as little-endian 8-byte floats or ints, so every
+    float64, -0.0 and subnormals included, reads back bit for bit.
     """
     if isinstance(obj, GrayMap):
-        mode, arr = "float", obj.values
-        fmt = "%.17g"
+        mode, arr = "float64le", obj.values
     elif isinstance(obj, SegmentationMap):
-        mode, arr = "int", obj.labels
-        fmt = "%d"
+        mode, arr = "int64le", obj.labels
     else:
         raise ValidationError("write_grid takes a GrayMap or SegmentationMap")
     h, w = arr.shape
-    row_fmt = " ".join([fmt] * w)
-    lines = [f"{_GRID_MAGIC} {w} {h} {mode}"]
-    lines.extend(row_fmt % tuple(row) for row in arr.tolist())
-    _write_output(path, "\n".join(lines) + "\n")
+    header = f"{_GRID_MAGIC} {w} {h} {mode}\n".encode("ascii")
+    # the array's own buffer goes to the file: no bytes copy of the payload
+    _write_output(path, header, np.ascontiguousarray(arr, dtype=_BINARY_DTYPES[mode]))
+
+
+def _grid_header(line: str):
+    """(width, height, mode) from a grid's first line, or a ParseError at
+    line 1 and the column of the offending token."""
+    header = _tokens_with_columns(line)
+    if not header or header[0][0] != _GRID_MAGIC:
+        col = header[0][1] if header else 1
+        raise ParseError(f"expected {_GRID_MAGIC} magic", line=1, column=col)
+    if len(header) < 4:
+        raise ParseError("header needs `UARGRID <width> <height> <mode>`",
+                         line=1, column=len(line.rstrip("\r\n")) + 1)
+    if len(header) > 4:
+        raise ParseError("trailing tokens after grid mode", line=1, column=header[4][1])
+    dims = []
+    for tok, col in header[1:3]:
+        try:
+            v = int(tok)
+        except ValueError:
+            raise ParseError(f"expected an integer dimension, got {tok!r}", line=1, column=col)
+        if v <= 0:
+            raise ParseError(f"dimensions must be positive, got {v}", line=1, column=col)
+        dims.append(v)
+    mode, mode_col = header[3]
+    if mode not in ("float", "int", *_BINARY_DTYPES):
+        raise ParseError(f"mode must be float, int, float64le or int64le, got {mode!r}",
+                         line=1, column=mode_col)
+    return dims[0], dims[1], mode
+
+
+def _binary_values(raw: bytes, start: int, width: int, height: int, mode: str):
+    """The payload of a binary grid that starts at ``start``: its size is
+    checked before any array exists, then every float is finite and
+    every label >= 0, else ParseError at the first bad value's row and
+    column."""
+    dtype = _BINARY_DTYPES[mode]
+    need = dtype.itemsize * width * height
+    if len(raw) - start != need:
+        raise ParseError(f"{mode} payload has {len(raw) - start} bytes, "
+                         f"expected {need} for {width}x{height}")
+    values = np.frombuffer(raw, dtype=dtype, offset=start).reshape(height, width)
+    ok = np.isfinite(values) if mode == "float64le" else values >= 0
+    if not ok.all():
+        r, c = np.argwhere(~ok)[0].tolist()
+        what = "non-finite value" if mode == "float64le" else "segmentation labels must be >= 0, got"
+        raise ParseError(f"row {r + 1}, column {c + 1}: {what} {values[r, c].item()!r}")
+    return values
 
 
 def _bad_row(line: str, lineno: int, mode: str) -> ParseError:
@@ -443,35 +498,34 @@ def read_key_values(path, keys, kind: str):
 
 @reads_file
 def read_grid(path):
-    """Inverse of write_grid. The data rows go through numpy's parser;
-    the row scan reads any it refuses, so malformed input, undecodable
-    UTF-8 included, raises ParseError naming the 1-based line and column
-    of the offending token."""
-    lines = _read_input(path)
-    if not lines:
-        raise ParseError("empty grid file", line=1, column=1)
-    header = _tokens_with_columns(lines[0])
-    if not header or header[0][0] != _GRID_MAGIC:
-        col = header[0][1] if header else 1
-        raise ParseError(f"expected {_GRID_MAGIC} magic", line=1, column=col)
-    if len(header) < 4:
-        raise ParseError("header needs `UARGRID <width> <height> <float|int>`",
-                         line=1, column=len(lines[0].rstrip("\r\n")) + 1)
-    if len(header) > 4:
-        raise ParseError("trailing tokens after grid mode", line=1, column=header[4][1])
-    dims = []
-    for tok, col in header[1:3]:
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ParseError(f"expected an integer dimension, got {tok!r}", line=1, column=col)
-        if v <= 0:
-            raise ParseError(f"dimensions must be positive, got {v}", line=1, column=col)
-        dims.append(v)
-    width, height = dims
-    mode, mode_col = header[3]
-    if mode not in ("float", "int"):
-        raise ParseError(f"mode must be float or int, got {mode!r}", line=1, column=mode_col)
+    """Inverse of write_grid, which also reads text grids: a `float` or
+    `int` header line, then ``height`` rows of ``width`` space-separated
+    values and nothing but blank lines. Malformed input raises ParseError
+    naming the file; in a text grid, undecodable UTF-8 included, at the
+    1-based line and column of the offending token."""
+    raw = _read_input(path, binary=True)
+    m = _LINE_END.search(raw)
+    start = m.end() if m else len(raw)
+    # only the header is text in a binary grid; its payload is never decoded
+    head = raw[:start].decode("utf-8", "replace")
+    if head.split()[3:4] in (["float64le"], ["int64le"]):
+        width, height, mode = _grid_header(head)
+        values = _binary_values(raw, start, width, height, mode)
+    else:
+        lines = _text_lines(raw)
+        if not lines:
+            raise ParseError("empty grid file", line=1, column=1)
+        width, height, mode = _grid_header(lines[0])
+        values = _text_values(lines, width, height, mode)
+    if mode.startswith("int"):
+        return SegmentationMap(width, height, values)
+    return GrayMap(width, height, values)
+
+
+def _text_values(lines, width: int, height: int, mode: str):
+    """The values of a text grid's data rows. They go through numpy's
+    parser; the row scan reads any it refuses, so the first error in
+    reading order is the one raised."""
     if len(lines) < 1 + height:
         raise ParseError(f"expected {height} data rows, found {len(lines) - 1}",
                          line=len(lines) + 1, column=1)
@@ -480,14 +534,16 @@ def read_grid(path):
     values = _parse_rows(rows, (height, width), dtype)
     if values is None:
         values = _scan_rows(rows, width, mode, dtype)
-    if mode == "int":
-        if values.min() < 0:  # checked once the whole grid has parsed
-            r, c = np.argwhere(values < 0)[0].tolist()
-            tok, col = _tokens_with_columns(lines[1 + r])[c]
-            raise ParseError(f"segmentation labels must be >= 0, got {tok!r}",
-                             line=r + 2, column=col)
-        return SegmentationMap(width, height, values)
-    return GrayMap(width, height, values)
+    if mode == "int" and values.min() < 0:  # checked once the whole grid has parsed
+        r, c = np.argwhere(values < 0)[0].tolist()
+        tok, col = _tokens_with_columns(lines[1 + r])[c]
+        raise ParseError(f"segmentation labels must be >= 0, got {tok!r}",
+                         line=r + 2, column=col)
+    for lineno, line in enumerate(lines[1 + height:], start=height + 2):
+        if line.strip():
+            raise ParseError(f"more rows than the header's height {height}", line=lineno,
+                             column=_tokens_with_columns(line)[0][1])
+    return values
 
 
 # ---------------------------------------------------------------------------

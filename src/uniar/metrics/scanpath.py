@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError, ValidationError
-from ..types import FixationSet, Scanpath, SegmentationMap, _freeze, fixation_pixels
+from ..types import FixationSet, Scanpath, SegmentationMap, _freeze
 
 MOVE_TOL = 1e-3
 MAX_ITER = 300
@@ -186,8 +186,9 @@ def _seg_labels(path: Scanpath, seg: SegmentationMap):
     if path.frame != (seg.width, seg.height):
         raise ValidationError(
             f"scanpath frame {path.frame} does not match segmentation {seg.width}x{seg.height}")
-    # Scanpath already keeps every fixation inside its frame
-    cols, rows = fixation_pixels(path.fixations, seg.width, seg.height)
+    # the frame is the segmentation's, so each path's pixels, which semss
+    # and semfed both look up, are worked out once
+    cols, rows = path.pixels
     return seg.labels[rows, cols].tolist()
 
 

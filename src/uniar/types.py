@@ -11,6 +11,7 @@ frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -216,6 +217,12 @@ class Scanpath:
 
     def __len__(self):
         return self.fixations.shape[0]
+
+    @cached_property
+    def pixels(self):
+        """(cols, rows): the pixel of the frame each fixation falls in, as
+        `fixation_pixels` maps it; worked out on first use, then kept."""
+        return tuple(_freeze(a) for a in fixation_pixels(self.fixations, *self.frame))
 
 
 @dataclass(frozen=True)

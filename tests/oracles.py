@@ -8,7 +8,8 @@ calls `backward` to get the gradients it checks against central
 differences. The `*_ref` scanpath functions are the library's earlier
 loops over numpy scalars, kept as they were; they borrow only the
 result types and `default_bandwidth`. `write_grid_ref` is the earlier
-grid writer, one `%` per value."""
+grid writer, one `%` per value; it writes the text grids that the text
+reader's tests read."""
 
 import math
 import re
@@ -375,9 +376,10 @@ def grad_check(f, x, h: float = 1e-5, sample: int | None = None, seed: int = 0) 
 
 
 def read_grid_naive(path):
-    """Token-at-a-time UARGRID reader: a regex match, a column and a
-    conversion per value, in reading order. Reads the file as text with
-    lines cut at `\\n`, `\\r` and `\\r\\n`, so bad UTF-8 leaks
+    """Token-at-a-time reader of text UARGRID files (modes `float` and
+    `int`): a regex match, a column and a conversion per value, in
+    reading order; after the last row, only blank lines. Reads the file
+    as text with lines cut at `\\n`, `\\r` and `\\r\\n`, so bad UTF-8 leaks
     UnicodeDecodeError, and an int label outside int64 leaks
     OverflowError from the final array conversion. Its ParseErrors name
     no file."""
@@ -394,7 +396,7 @@ def read_grid_naive(path):
         col = header[0][1] if header else 1
         raise ParseError("expected UARGRID magic", line=1, column=col)
     if len(header) < 4:
-        raise ParseError("header needs `UARGRID <width> <height> <float|int>`",
+        raise ParseError("header needs `UARGRID <width> <height> <mode>`",
                          line=1, column=len(lines[0]) + 1)
     if len(header) > 4:
         raise ParseError("trailing tokens after grid mode", line=1, column=header[4][1])
@@ -410,7 +412,8 @@ def read_grid_naive(path):
     width, height = dims
     mode, mode_col = header[3]
     if mode not in ("float", "int"):
-        raise ParseError(f"mode must be float or int, got {mode!r}", line=1, column=mode_col)
+        raise ParseError(f"mode must be float, int, float64le or int64le, got {mode!r}",
+                         line=1, column=mode_col)
     if len(lines) < 1 + height:
         raise ParseError(f"expected {height} data rows, found {len(lines) - 1}",
                          line=len(lines) + 1, column=1)
@@ -433,8 +436,15 @@ def read_grid_naive(path):
             row.append(v)
         rows.append(row)
     if mode == "int":
-        return SegmentationMap(width, height, np.asarray(rows, dtype=np.int64))
-    return GrayMap(width, height, np.asarray(rows, dtype=np.float64))
+        grid = SegmentationMap(width, height, np.asarray(rows, dtype=np.int64))
+    else:
+        grid = GrayMap(width, height, np.asarray(rows, dtype=np.float64))
+    for lineno in range(2 + height, 1 + len(lines)):
+        toks = tokens(lines[lineno - 1])
+        if toks:
+            raise ParseError(f"more rows than the header's height {height}",
+                             line=lineno, column=toks[0][1])
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +602,7 @@ def multimatch_ref(pred: Scanpath, gt: Scanpath) -> MultiMatchScores:
 
 
 # ---------------------------------------------------------------------------
-# the grid writer as it formatted one numpy scalar at a time
+# the text grid writer as it formatted one numpy scalar at a time
 
 
 def write_grid_ref(path, obj) -> None:

@@ -11,7 +11,6 @@ from uniar.codec import (
     dequantize,
     encode_target,
     quantize,
-    valid_rate,
 )
 from uniar.errors import ValidationError
 from uniar.types import BinnedScanpath, Scanpath
@@ -176,12 +175,3 @@ class TestDecodeRobust:
             out = decode_robust(raw, (640, 480))
             assert out.valid == (out.fixations_recovered > 0)
 
-
-class TestValidRate:
-    def test_rate(self):
-        results = [decode_robust("12 34", (10, 10)), decode_robust("junk", (10, 10))]
-        assert valid_rate(results) == 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            valid_rate([])

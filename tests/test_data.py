@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import re
 import shutil
+import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -289,7 +291,7 @@ class TestMixture:
 
 
 # ---------------------------------------------------------------------------
-# text grids
+# grids
 
 
 class TestGrid:
@@ -301,7 +303,8 @@ class TestGrid:
         assert isinstance(back, GrayMap)
         assert np.array_equal(back.values, m.values)
         # 10^5 values from every binade, edges of float64 first, read back
-        # bit for bit by numpy's parser alone, written by %.17g and by repr
+        # bit for bit from the binary form, and from text written by %.17g
+        # and by repr through numpy's parser alone
         fi = np.finfo(np.float64)
         edges = [0.0, -0.0, fi.smallest_subnormal, -fi.smallest_subnormal,
                  fi.smallest_normal - fi.smallest_subnormal, fi.smallest_normal,
@@ -311,19 +314,32 @@ class TestGrid:
         values = np.concatenate([edges, bits]).reshape(250, 400)
         monkeypatch.setattr(data, "_scan_rows", None)  # a row scan would raise TypeError
         write_grid(p, GrayMap(400, 250, values))
+        by_g17 = tmp_path / "g17.grid"
+        write_grid_ref(by_g17, GrayMap(400, 250, values))
         by_repr = tmp_path / "repr.grid"
         by_repr.write_text("UARGRID 400 250 float\n" + "".join(
             " ".join(map(repr, row)) + "\n" for row in values.tolist()))
-        for path in (p, by_repr):
+        for path in (p, by_g17, by_repr):
             assert read_grid(path).values.tobytes() == values.tobytes()
 
-    @given(vals=st.lists(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+    @given(vals=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                          min_size=6, max_size=6))
+    @example(vals=[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, 1 / 3])
     def test_float_round_trip_property(self, vals, tmp_path_factory):
         p = tmp_path_factory.mktemp("grid") / "m.grid"
         m = GrayMap(3, 2, np.asarray(vals).reshape(2, 3))
         write_grid(p, m)
-        assert np.array_equal(read_grid(p).values, m.values)
+        assert read_grid(p).values.tobytes() == m.values.tobytes()
+
+    @given(labels=st.lists(st.integers(0, 2**63 - 1), min_size=6, max_size=6))
+    @example(labels=[0, 2**63 - 1, 0, 1, 2**62, 2**63 - 1])
+    def test_int_round_trip_property(self, labels, tmp_path_factory):
+        p = tmp_path_factory.mktemp("grid") / "s.grid"
+        seg = SegmentationMap(2, 3, np.asarray(labels, dtype=np.int64).reshape(3, 2))
+        write_grid(p, seg)
+        back = read_grid(p)
+        assert isinstance(back, SegmentationMap)
+        assert back.labels.tobytes() == seg.labels.tobytes()
 
     def test_int_round_trip(self, tmp_path):
         seg = SegmentationMap(4, 3, np.arange(12).reshape(3, 4))
@@ -343,16 +359,78 @@ class TestGrid:
         SegmentationMap(1, 1, [[0]]),
     ], ids=["float", "float-1x1", "float-16x8", "int", "int-1x1"])
     def test_write_grid_bytes_equal_per_value_writer(self, grid, tmp_path):
-        # one `%` per row over Python numbers, against the earlier writer's
-        # one `%` per numpy scalar
-        write_grid(tmp_path / "new.grid", grid)
-        write_grid_ref(tmp_path / "ref.grid", grid)
-        assert (tmp_path / "new.grid").read_bytes() == (tmp_path / "ref.grid").read_bytes()
+        # the byte layout: one ASCII header line, then each value in
+        # row-major order as 8 little-endian bytes, and nothing more
+        if isinstance(grid, GrayMap):
+            mode, fmt, rows = "float64le", "<d", grid.values.tolist()
+        else:
+            mode, fmt, rows = "int64le", "<q", grid.labels.tolist()
+        want = f"UARGRID {grid.width} {grid.height} {mode}\n".encode("ascii") + b"".join(
+            struct.pack(fmt, v) for row in rows for v in row)
+        write_grid(tmp_path / "g.grid", grid)
+        assert (tmp_path / "g.grid").read_bytes() == want
 
-    def test_two_by_two_int_grid_is_three_lines(self, tmp_path):
-        p = tmp_path / "s.grid"
-        write_grid(p, SegmentationMap(2, 2, [[1, 2], [3, 4]]))
-        assert len(p.read_text().splitlines()) == 3
+    def test_every_truncation_and_one_extra_byte_rejected(self, tmp_path):
+        p = tmp_path / "g.grid"
+        write_grid(p, GrayMap(3, 2, np.arange(6.0).reshape(2, 3)))
+        raw = p.read_bytes()
+        for cut in [*range(len(raw)), len(raw) + 1]:
+            p.write_bytes(raw[:cut] if cut < len(raw) else raw + b"\x00")
+            with pytest.raises(ParseError) as e:
+                read_grid(p)
+            assert e.value.path == p and str(e.value).startswith(f"{p}: ")
+
+    @pytest.mark.parametrize("value,row,col", [(np.nan, 2, 3), (np.inf, 1, 2), (-np.inf, 2, 1)])
+    def test_binary_non_finite_value_names_row_and_column(self, tmp_path, value, row, col):
+        values = np.zeros((2, 3))
+        values[row - 1, col - 1] = value
+        values[1, 2] = value  # a later bad value is not the one reported
+        p = tmp_path / "bad.grid"
+        p.write_bytes(b"UARGRID 3 2 float64le\n" + values.astype("<f8").tobytes())
+        with pytest.raises(ParseError) as e:
+            read_grid(p)
+        assert str(e.value) == f"{p}: row {row}, column {col}: non-finite value {value!r}"
+
+    def test_binary_negative_label_names_row_and_column(self, tmp_path):
+        p = tmp_path / "neg.grid"
+        labels = np.array([[0, 3], [-7, -1], [2, 0]], dtype="<i8")
+        p.write_bytes(b"UARGRID 2 3 int64le\n" + labels.tobytes())
+        with pytest.raises(ParseError) as e:
+            read_grid(p)
+        assert str(e.value) == f"{p}: row 2, column 1: segmentation labels must be >= 0, got -7"
+
+    def test_huge_binary_header_fails_on_byte_count_without_allocating(self, tmp_path):
+        p = tmp_path / "huge.grid"
+        p.write_bytes(b"UARGRID 4000000000 4000000000 float64le\n" + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="payload has 64 bytes, expected 128000000000000000000"):
+                read_grid(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_binary_header_errors_name_line_and_column(self, tmp_path):
+        p = tmp_path / "bad.grid"
+        p.write_bytes(b"UARGRID 2 0 int64le\n")
+        with pytest.raises(ParseError, match="dimensions must be positive") as e:
+            read_grid(p)
+        assert (e.value.line, e.value.column) == (1, 11)
+        p.write_bytes(b"UARGRID 1 1 float64le extra\n" + bytes(8))
+        with pytest.raises(ParseError, match="trailing tokens") as e:
+            read_grid(p)
+        assert (e.value.line, e.value.column) == (1, 23)
+
+    @pytest.mark.parametrize("reader", [read_grid, read_grid_naive])
+    def test_rows_past_the_header_height_rejected(self, tmp_path, reader):
+        p = tmp_path / "long.grid"
+        p.write_text("UARGRID 2 1 float\n0 0\n\n  garbage here\n")
+        with pytest.raises(ParseError, match="more rows than the header's height 1") as e:
+            reader(p)
+        assert (e.value.line, e.value.column) == (4, 3)
+        p.write_text("UARGRID 2 1 float\n0 0\n\n \t\n")  # blank lines are fine
+        assert reader(p).values.tolist() == [[0.0, 0.0]]
 
     def test_wrong_magic_names_line_and_column(self, tmp_path):
         p = tmp_path / "bad.grid"

@@ -33,7 +33,8 @@ from uniar.metrics import (
 )
 from uniar.metrics import scanpath
 from uniar.metrics.scanpath import MeanShiftResult, _align_vectors, _seg_labels
-from uniar.types import FixationSet, PromptSpec, Scanpath, SegmentationMap
+from uniar import types
+from uniar.types import FixationSet, PromptSpec, Scanpath, SegmentationMap, fixation_pixels
 
 seqs = st.lists(st.integers(0, 4), min_size=1, max_size=10)
 # longer strings over a smaller alphabet, so the DPs meet many ties
@@ -158,6 +159,18 @@ class TestSequenceScore:
             sequence_score(a, b, clusters)
 
 
+def _count_pixel_maps(monkeypatch):
+    """The fixation arrays that `types.fixation_pixels` maps from now on."""
+    mapped = []
+
+    def counted(points, width, height):
+        mapped.append(points)
+        return fixation_pixels(points, width, height)
+
+    monkeypatch.setattr(types, "fixation_pixels", counted)
+    return mapped
+
+
 class TestSemanticScores:
     def _seg(self):
         lab = np.zeros((10, 10), dtype=int)
@@ -188,6 +201,15 @@ class TestSemanticScores:
         p = Scanpath(frame=(10, 10), fixations=[[1, 1], [7, 1], [2, 7]])
         assert semss(p, p, seg) == 1.0
         assert semfed(p, p, seg) == 0.0
+
+    def test_each_path_is_mapped_to_pixels_once(self, monkeypatch):
+        seg = self._seg()
+        pred = Scanpath(frame=(10, 10), fixations=[[1, 1], [2, 2], [7, 1], [2, 7]])
+        gt = Scanpath(frame=(10, 10), fixations=[[0, 0], [8, 0], [8, 8]])
+        mapped = _count_pixel_maps(monkeypatch)
+        assert (semss(pred, gt, seg), semfed(pred, gt, seg)) == (2 / 3, 2.0)
+        assert len(mapped) == 2 and mapped[0] is pred.fixations and mapped[1] is gt.fixations
+        assert pred.pixels[1].tolist() == [1, 2, 1, 7] and not pred.pixels[1].flags.writeable
 
     def test_frame_must_match_segmentation(self):
         seg = self._seg()
@@ -358,7 +380,9 @@ class TestMatchesNumpyScalarOracles:
             assert cli.run(argv) == 0
             return out.read_bytes()
 
+        mapped = _count_pixel_maps(monkeypatch)
         fast = eval_csv(tmp_path / "fast.csv")
+        assert len(mapped) == 2 * 12  # each path of each sample mapped to pixels once
         monkeypatch.setattr(cli, "meanshift_clusters", meanshift_clusters_ref)
         monkeypatch.setattr(cli, "multimatch", multimatch_ref)
         monkeypatch.setattr(scanpath, "nw_similarity", nw_similarity_ref)
