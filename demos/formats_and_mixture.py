@@ -45,13 +45,14 @@ back = read_pgm(root / "m.pgm")
 print(f"16-bit pgm, quantized round trip: max err "
       f"{np.abs(back.values - m.values).max():.2e} (bound {0.5 / 65535:.2e})")
 
-# text grids are still read; their parse errors carry the file, the line
-# and the character column of the bad token
-(root / "bad.grid").write_text("UARGRID 3 2 float\n0.1 0.5 1.0\n0.0 oops 1.0\n")
+# a grid cut short is refused before any array exists; the error names
+# the file and how many bytes the header's size calls for
+(root / "bad.grid").write_bytes(raw[:-1])
 try:
     read_grid(root / "bad.grid")
 except ParseError as e:
-    print("bad token:", e)
+    assert str(e).startswith(f"{root / 'bad.grid'}: ")
+    print("truncated grid:", e)
 
 # ------------------------------------------------- handle round trip
 

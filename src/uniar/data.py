@@ -9,7 +9,7 @@ whole set, and a dataset of n samples is a prefix of the same seed's
 dataset of n + k.
 
 Formats: binary grids (`UARGRID` header line, little-endian float64 or
-int64 payload; text grids are still read), binary PGM (P5, 16-bit) for
+int64 payload), binary PGM (P5, 16-bit) for
 maps, binary PPM (P6) for images, JSON lines for scanpaths, CSV tables
 for rating pairs, scores and reports, `key = value` text for handle
 metadata and model configs. This module is the only one that knows a
@@ -28,7 +28,6 @@ import json
 import math
 import os
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,20 +263,16 @@ def mixture_next(cfg: MixtureConfig, rng_state: np.random.Generator):
 
 def _read_input(path, binary=False):
     """The one place an input file is opened. Returns its bytes, or its
-    UTF-8 text as `_text_lines` cuts it. A file that cannot be read
-    raises ParseError."""
+    UTF-8 text as lines that keep their ends, cut at `\\n`, `\\r` and
+    `\\r\\n` only. A file that cannot be read, or bytes that are not UTF-8,
+    raise ParseError, the latter at the line and column where they start."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as e:
         raise ParseError(e.strerror or str(e))
-    return raw if binary else _text_lines(raw)
-
-
-def _text_lines(raw: bytes):
-    """UTF-8 bytes as lines that keep their ends, cut at `\\n`, `\\r` and
-    `\\r\\n` only. Bytes that are not UTF-8 raise ParseError at the line
-    and column where they start."""
+    if binary:
+        return raw
     try:
         text, bad = raw.decode("utf-8"), None
     except UnicodeDecodeError as e:
@@ -324,15 +319,10 @@ def reads_file(reader):
 # grids
 
 _GRID_MAGIC = "UARGRID"
-_INT64 = np.iinfo(np.int64)
-# a binary grid's header line is followed by exactly 8 * width * height
+# a grid's header line is followed by exactly 8 * width * height
 # bytes: the values, row-major, as little-endian float64 or int64
-_BINARY_DTYPES = {"float64le": np.dtype("<f8"), "int64le": np.dtype("<i8")}
+_GRID_DTYPES = {"float64le": np.dtype("<f8"), "int64le": np.dtype("<i8")}
 _LINE_END = re.compile(rb"\r\n?|\n")
-
-
-def _tokens_with_columns(line: str):
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
 def write_grid(path, obj) -> None:
@@ -351,13 +341,13 @@ def write_grid(path, obj) -> None:
     h, w = arr.shape
     header = f"{_GRID_MAGIC} {w} {h} {mode}\n".encode("ascii")
     # the array's own buffer goes to the file: no bytes copy of the payload
-    _write_output(path, header, np.ascontiguousarray(arr, dtype=_BINARY_DTYPES[mode]))
+    _write_output(path, header, np.ascontiguousarray(arr, dtype=_GRID_DTYPES[mode]))
 
 
 def _grid_header(line: str):
     """(width, height, mode) from a grid's first line, or a ParseError at
     line 1 and the column of the offending token."""
-    header = _tokens_with_columns(line)
+    header = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
     if not header or header[0][0] != _GRID_MAGIC:
         col = header[0][1] if header else 1
         raise ParseError(f"expected {_GRID_MAGIC} magic", line=1, column=col)
@@ -376,18 +366,18 @@ def _grid_header(line: str):
             raise ParseError(f"dimensions must be positive, got {v}", line=1, column=col)
         dims.append(v)
     mode, mode_col = header[3]
-    if mode not in ("float", "int", *_BINARY_DTYPES):
-        raise ParseError(f"mode must be float, int, float64le or int64le, got {mode!r}",
+    if mode not in _GRID_DTYPES:
+        raise ParseError(f"mode must be float64le or int64le, got {mode!r}",
                          line=1, column=mode_col)
     return dims[0], dims[1], mode
 
 
 def _binary_values(raw: bytes, start: int, width: int, height: int, mode: str):
-    """The payload of a binary grid that starts at ``start``: its size is
+    """The payload of a grid that starts at ``start``: its size is
     checked before any array exists, then every float is finite and
     every label >= 0, else ParseError at the first bad value's row and
     column."""
-    dtype = _BINARY_DTYPES[mode]
+    dtype = _GRID_DTYPES[mode]
     need = dtype.itemsize * width * height
     if len(raw) - start != need:
         raise ParseError(f"{mode} payload has {len(raw) - start} bytes, "
@@ -398,65 +388,6 @@ def _binary_values(raw: bytes, start: int, width: int, height: int, mode: str):
         r, c = np.argwhere(~ok)[0].tolist()
         what = "non-finite value" if mode == "float64le" else "segmentation labels must be >= 0, got"
         raise ParseError(f"row {r + 1}, column {c + 1}: {what} {values[r, c].item()!r}")
-    return values
-
-
-def _bad_row(line: str, lineno: int, mode: str) -> ParseError:
-    """The error for a data row that failed as a whole: its first token,
-    in reading order, that is no `mode` literal, a non-finite float or
-    an int label outside int64."""
-    for tok, col in _tokens_with_columns(line):
-        try:
-            v = int(tok) if mode == "int" else float(tok)
-        except ValueError:
-            return ParseError(f"bad {mode} literal {tok!r}", line=lineno, column=col)
-        if mode == "float" and not np.isfinite(v):
-            return ParseError(f"non-finite value {tok!r}", line=lineno, column=col)
-        if mode == "int" and not _INT64.min <= v <= _INT64.max:
-            return ParseError(f"label {tok!r} does not fit in int64", line=lineno, column=col)
-    raise AssertionError(f"line {lineno}: row failed with no bad token")
-
-
-def _parse_rows(rows, shape, dtype):
-    """The data rows through numpy's C parser, or None where the row scan
-    must decide: a row that is not ASCII (numpy's int parser takes some
-    letters for digits), a parse that raises or warns, another shape (a
-    blank row is skipped, not an error) or a non-finite float."""
-    if not all(map(str.isascii, rows)):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
-    except (ValueError, OverflowError, Warning):
-        return None
-    if values.shape != shape or not np.isfinite(values).all():
-        return None
-    return values
-
-
-def _scan_rows(rows, width, mode, dtype):
-    """The data rows a row at a time with Python's int or float, the
-    reference for what a grid holds: the values, or the first error in
-    reading order at its line and column."""
-    convert = int if mode == "int" else float
-    values = None
-    # a whole row per step; columns are worked out only for a row that fails
-    for r, line in enumerate(rows):
-        toks = line.split()
-        if len(toks) != width:
-            cols = _tokens_with_columns(line)
-            col = cols[width][1] if len(cols) > width else len(line.rstrip("\r\n")) + 1
-            raise ParseError(f"row has {len(toks)} values, expected {width}",
-                             line=r + 2, column=col)
-        if values is None:  # allocated once a row has shown the header's width is real
-            values = np.empty((len(rows), width), dtype=dtype)
-        try:
-            values[r] = list(map(convert, toks))
-        except (ValueError, OverflowError):
-            raise _bad_row(line, r + 2, mode)
-        if mode == "float" and not np.isfinite(values[r]).all():
-            raise _bad_row(line, r + 2, mode)
     return values
 
 
@@ -498,52 +429,20 @@ def read_key_values(path, keys, kind: str):
 
 @reads_file
 def read_grid(path):
-    """Inverse of write_grid, which also reads text grids: a `float` or
-    `int` header line, then ``height`` rows of ``width`` space-separated
-    values and nothing but blank lines. Malformed input raises ParseError
-    naming the file; in a text grid, undecodable UTF-8 included, at the
-    1-based line and column of the offending token."""
+    """Inverse of write_grid: the header line `UARGRID <width> <height>
+    <float64le|int64le>`, then exactly 8 * width * height bytes of values.
+    Malformed input raises ParseError naming the file: a bad header at
+    line 1 and the column of the offending token, a bad payload at its
+    first bad value's row and column."""
     raw = _read_input(path, binary=True)
     m = _LINE_END.search(raw)
     start = m.end() if m else len(raw)
-    # only the header is text in a binary grid; its payload is never decoded
-    head = raw[:start].decode("utf-8", "replace")
-    if head.split()[3:4] in (["float64le"], ["int64le"]):
-        width, height, mode = _grid_header(head)
-        values = _binary_values(raw, start, width, height, mode)
-    else:
-        lines = _text_lines(raw)
-        if not lines:
-            raise ParseError("empty grid file", line=1, column=1)
-        width, height, mode = _grid_header(lines[0])
-        values = _text_values(lines, width, height, mode)
-    if mode.startswith("int"):
+    # only the header is text; the payload is never decoded
+    width, height, mode = _grid_header(raw[:start].decode("utf-8", "replace"))
+    values = _binary_values(raw, start, width, height, mode)
+    if mode == "int64le":
         return SegmentationMap(width, height, values)
     return GrayMap(width, height, values)
-
-
-def _text_values(lines, width: int, height: int, mode: str):
-    """The values of a text grid's data rows. They go through numpy's
-    parser; the row scan reads any it refuses, so the first error in
-    reading order is the one raised."""
-    if len(lines) < 1 + height:
-        raise ParseError(f"expected {height} data rows, found {len(lines) - 1}",
-                         line=len(lines) + 1, column=1)
-    rows = lines[1:1 + height]
-    dtype = np.int64 if mode == "int" else np.float64
-    values = _parse_rows(rows, (height, width), dtype)
-    if values is None:
-        values = _scan_rows(rows, width, mode, dtype)
-    if mode == "int" and values.min() < 0:  # checked once the whole grid has parsed
-        r, c = np.argwhere(values < 0)[0].tolist()
-        tok, col = _tokens_with_columns(lines[1 + r])[c]
-        raise ParseError(f"segmentation labels must be >= 0, got {tok!r}",
-                         line=r + 2, column=col)
-    for lineno, line in enumerate(lines[1 + height:], start=height + 2):
-        if line.strip():
-            raise ParseError(f"more rows than the header's height {height}", line=lineno,
-                             column=_tokens_with_columns(line)[0][1])
-    return values
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,16 @@
 package. Everything here is deliberately naive: pure-Python loops,
 explicit threshold sweeps, pairwise counting, direct per-pixel kernel
 sums. No code is shared with the library paths under test; the grid
-reader oracle only borrows the package's error and map types, so its
-results compare directly with `read_grid`'s, and `grad_check` only
-calls `backward` to get the gradients it checks against central
-differences. The `*_ref` scanpath functions are the library's earlier
-loops over numpy scalars, kept as they were; they borrow only the
-result types and `default_bandwidth`. `write_grid_ref` is the earlier
-grid writer, one `%` per value; it writes the text grids that the text
-reader's tests read."""
+reader oracle, which reads a grid's header a character at a time and
+its payload a value at a time with `struct`, only borrows the package's
+error and map types, so its results compare directly with `read_grid`'s,
+and `grad_check` only calls `backward` to get the gradients it checks
+against central differences. The `*_ref` scanpath functions are the
+library's earlier loops over numpy scalars, kept as they were; they
+borrow only the result types and `default_bandwidth`."""
 
 import math
-import re
+import struct
 
 import numpy as np
 
@@ -376,75 +375,66 @@ def grad_check(f, x, h: float = 1e-5, sample: int | None = None, seed: int = 0) 
 
 
 def read_grid_naive(path):
-    """Token-at-a-time reader of text UARGRID files (modes `float` and
-    `int`): a regex match, a column and a conversion per value, in
-    reading order; after the last row, only blank lines. Reads the file
-    as text with lines cut at `\\n`, `\\r` and `\\r\\n`, so bad UTF-8 leaks
-    UnicodeDecodeError, and an int label outside int64 leaks
-    OverflowError from the final array conversion. Its ParseErrors name
-    no file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-
-    def tokens(line):
-        return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
-
-    if not lines:
-        raise ParseError("empty grid file", line=1, column=1)
-    header = tokens(lines[0])
+    """Value-at-a-time reader of UARGRID files: the header line, cut at
+    the first `\\n`, `\\r` or `\\r\\n`, split into tokens by a character
+    loop; then the byte count; then each value in row-major order with
+    `struct.unpack_from`, stopping at the first non-finite float or
+    negative label. Its ParseErrors name no file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    end = start = len(raw)
+    for i, b in enumerate(raw):
+        if b in b"\r\n":
+            end, start = i, i + (2 if raw[i:i + 2] == b"\r\n" else 1)
+            break
+    line = raw[:end].decode("utf-8", "replace")
+    header, tok = [], None  # tok: [text, column] of the token being read
+    for col, ch in enumerate(line, start=1):
+        if ch.isspace():
+            tok = None
+        elif tok is None:
+            tok = [ch, col]
+            header.append(tok)
+        else:
+            tok[0] += ch
     if not header or header[0][0] != "UARGRID":
-        col = header[0][1] if header else 1
-        raise ParseError("expected UARGRID magic", line=1, column=col)
+        raise ParseError("expected UARGRID magic", line=1, column=header[0][1] if header else 1)
     if len(header) < 4:
         raise ParseError("header needs `UARGRID <width> <height> <mode>`",
-                         line=1, column=len(lines[0]) + 1)
+                         line=1, column=len(line) + 1)
     if len(header) > 4:
         raise ParseError("trailing tokens after grid mode", line=1, column=header[4][1])
     dims = []
-    for tok, col in header[1:3]:
+    for text, col in header[1:3]:
         try:
-            v = int(tok)
+            v = int(text)
         except ValueError:
-            raise ParseError(f"expected an integer dimension, got {tok!r}", line=1, column=col)
+            raise ParseError(f"expected an integer dimension, got {text!r}", line=1, column=col)
         if v <= 0:
             raise ParseError(f"dimensions must be positive, got {v}", line=1, column=col)
         dims.append(v)
     width, height = dims
-    mode, mode_col = header[3]
-    if mode not in ("float", "int"):
-        raise ParseError(f"mode must be float, int, float64le or int64le, got {mode!r}",
-                         line=1, column=mode_col)
-    if len(lines) < 1 + height:
-        raise ParseError(f"expected {height} data rows, found {len(lines) - 1}",
-                         line=len(lines) + 1, column=1)
-    rows = []
+    mode, col = header[3]
+    if mode not in ("float64le", "int64le"):
+        raise ParseError(f"mode must be float64le or int64le, got {mode!r}", line=1, column=col)
+    need = 8 * width * height
+    if len(raw) - start != need:
+        raise ParseError(f"{mode} payload has {len(raw) - start} bytes, "
+                         f"expected {need} for {width}x{height}")
+    fmt = "<d" if mode == "float64le" else "<q"
+    values = []
     for r in range(height):
-        lineno = 2 + r
-        toks = tokens(lines[1 + r])
-        if len(toks) != width:
-            col = toks[width][1] if len(toks) > width else len(lines[1 + r]) + 1
-            raise ParseError(f"row has {len(toks)} values, expected {width}",
-                             line=lineno, column=col)
-        row = []
-        for tok, col in toks:
-            try:
-                v = int(tok) if mode == "int" else float(tok)
-            except ValueError:
-                raise ParseError(f"bad {mode} literal {tok!r}", line=lineno, column=col)
-            if mode == "float" and not math.isfinite(v):
-                raise ParseError(f"non-finite value {tok!r}", line=lineno, column=col)
-            row.append(v)
-        rows.append(row)
-    if mode == "int":
-        grid = SegmentationMap(width, height, np.asarray(rows, dtype=np.int64))
-    else:
-        grid = GrayMap(width, height, np.asarray(rows, dtype=np.float64))
-    for lineno in range(2 + height, 1 + len(lines)):
-        toks = tokens(lines[lineno - 1])
-        if toks:
-            raise ParseError(f"more rows than the header's height {height}",
-                             line=lineno, column=toks[0][1])
-    return grid
+        for c in range(width):
+            (v,) = struct.unpack_from(fmt, raw, start + 8 * len(values))
+            if mode == "float64le" and not math.isfinite(v):
+                raise ParseError(f"row {r + 1}, column {c + 1}: non-finite value {v!r}")
+            if mode == "int64le" and v < 0:
+                raise ParseError(f"row {r + 1}, column {c + 1}: "
+                                 f"segmentation labels must be >= 0, got {v!r}")
+            values.append(v)
+    if mode == "int64le":
+        return SegmentationMap(width, height, np.array(values, dtype=np.int64))
+    return GrayMap(width, height, np.array(values, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -599,30 +589,3 @@ def multimatch_ref(pred: Scanpath, gt: Scanpath) -> MultiMatchScores:
         direction=1.0 - d_dir / k,
         position=1.0 - d_pos / k,
     )
-
-
-# ---------------------------------------------------------------------------
-# the text grid writer as it formatted one numpy scalar at a time
-
-
-def write_grid_ref(path, obj) -> None:
-    """GrayMap -> float grid, SegmentationMap -> int grid.
-
-    Header `UARGRID <width> <height> <float|int>`, then height rows of
-    width space-separated values. Floats print with 17 significant
-    digits, enough to reproduce the float64 exactly on read.
-    """
-    if isinstance(obj, GrayMap):
-        mode, arr = "float", obj.values
-        fmt = "%.17g"
-    elif isinstance(obj, SegmentationMap):
-        mode, arr = "int", obj.labels
-        fmt = "%d"
-    else:
-        raise ValidationError("write_grid takes a GrayMap or SegmentationMap")
-    h, w = arr.shape
-    lines = [f"UARGRID {w} {h} {mode}"]
-    for row in arr:
-        lines.append(" ".join(fmt % v for v in row))
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))

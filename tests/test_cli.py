@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import write_grid_ref
 import uniar.autodiff as ad
 import uniar.cli as cli
 from uniar.cli import render_overlay, report_table, run
@@ -15,7 +14,6 @@ from uniar.data import (
     gen_rating_task,
     gen_saliency_task,
     gen_scanpath_task,
-    read_grid,
     read_pgm,
     read_ppm,
     read_scanpaths,
@@ -207,14 +205,6 @@ def heatmap_dirs(tmp_path_factory):
     return root
 
 
-def _as_text_grids(src, dst):
-    """A copy of directory ``src`` with every grid rewritten as a text grid."""
-    dst.mkdir()
-    for f in sorted(src.iterdir()):
-        write_grid_ref(dst / f.name, read_grid(f))
-    return dst
-
-
 def _truncate(path):
     path.write_bytes(path.read_bytes()[:-1])
     return path
@@ -316,21 +306,6 @@ class TestEvalHeatmap:
             want = evaluate_heatmap(pred, gt, pooled(sid), negatives, seed=3).sauc
             assert got[sid] == repr(want)
 
-    def test_text_and_binary_grids_give_the_same_csv(self, heatmap_dirs, tmp_path):
-        csvs = []
-        for tag, pred, gt in [
-                ("bin", heatmap_dirs / "pred", heatmap_dirs / "gt"),
-                ("text", _as_text_grids(heatmap_dirs / "pred", tmp_path / "tpred"),
-                 _as_text_grids(heatmap_dirs / "gt", tmp_path / "tgt"))]:
-            out = tmp_path / f"{tag}.csv"
-            assert run(["eval-heatmap", "--pred", str(pred), "--gt", str(gt),
-                        "--fix", str(heatmap_dirs / "fix"), "--out", str(out)]) == 0
-            csvs.append(out.read_bytes())
-        assert (heatmap_dirs / "gt" / "000.grid").read_bytes().startswith(
-            b"UARGRID 64 64 float64le\n")
-        assert (tmp_path / "tgt" / "000.grid").read_bytes().startswith(b"UARGRID 64 64 float\n")
-        assert csvs[0] == csvs[1]
-
     def test_truncated_binary_grid_is_data_error(self, heatmap_dirs, tmp_path, capsys):
         import shutil
         gt = tmp_path / "gt"
@@ -400,23 +375,13 @@ class TestEvalScanpath:
         assert run(argv) == 0
         assert capsys.readouterr().out == want
 
-    def test_int64_overflow_in_segmentation_is_data_error(self, dirs, capsys):
-        (dirs / "seg" / "1.grid").write_text("UARGRID 64 1 int\n" + "0 " * 63 + "99999999999999999999\n")
+    def test_text_segmentation_grid_is_data_error(self, dirs, capsys):
+        bad = dirs / "seg" / "1.grid"
+        bad.write_text("UARGRID 64 1 int\n" + "0 " * 63 + "0\n")
         assert run(["eval-scanpath", "--pred", str(dirs / "pred"),
                     "--gt", str(dirs / "gt"), "--seg", str(dirs / "seg")]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert "line 2, column 127" in err[0] and "int64" in err[0]
-
-    def test_text_and_binary_grids_give_the_same_csv(self, dirs):
-        csvs = []
-        for seg in (dirs / "seg", _as_text_grids(dirs / "seg", dirs / "tseg")):
-            out = dirs / f"{seg.name}.csv"
-            assert run(["eval-scanpath", "--pred", str(dirs / "pred"), "--gt", str(dirs / "gt"),
-                        "--seg", str(seg), "--out", str(out)]) == 0
-            csvs.append(out.read_bytes())
-        assert (dirs / "tseg" / "0.grid").read_bytes().startswith(b"UARGRID 64 64 int\n")
-        assert csvs[0] == csvs[1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: line 1, column 14: mode must be float64le or int64le, got 'int'"]
 
     def test_truncated_binary_segmentation_is_data_error(self, dirs, capsys):
         bad = _truncate(dirs / "seg" / "1.grid")
