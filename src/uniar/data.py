@@ -305,9 +305,9 @@ def reads_file(reader):
     it parses: a ParseError that leaves it naming no file gets that path,
     so a nested read (read_map calling read_grid) names the file once."""
     @functools.wraps(reader)
-    def named(path, *args):
+    def named(path, *args, **kwargs):
         try:
-            return reader(path, *args)
+            return reader(path, *args, **kwargs)
         except ParseError as e:
             if e.path is None:
                 e.path = path
@@ -612,10 +612,9 @@ def read_scanpaths(path):
         if missing:
             raise ParseError(f"missing fields: {', '.join(missing)}", line=lineno)
         try:
-            scanpath = Scanpath(tuple(obj["frame"]), np.asarray(obj["fixations"],
-                                                                dtype=np.float64))
+            scanpath = Scanpath(tuple(obj["frame"]), obj["fixations"])
             prompt = PromptSpec(obj["input_type"], obj["output_type"], obj["query"])
-        except (ValidationError, TypeError, ValueError) as e:
+        except (ValidationError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(str(e), line=lineno)
         out.append((scanpath, prompt))
     return out

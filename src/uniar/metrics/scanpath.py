@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError, ValidationError
-from ..types import FixationSet, Scanpath, SegmentationMap, _freeze
+from ..types import FixationSet, Scanpath, SegmentationMap, _frozen
 
 MOVE_TOL = 1e-3
 MAX_ITER = 300
@@ -39,8 +39,10 @@ class MeanShiftResult:
     bandwidth: float
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", _freeze(np.array(self.centers, dtype=np.float64)))
-        object.__setattr__(self, "labels", _freeze(np.array(self.labels, dtype=np.int64)))
+        object.__setattr__(self, "centers",
+                           _frozen(self.centers, np.float64, (None, 2), "cluster centers"))
+        object.__setattr__(self, "labels",
+                           _frozen(self.labels, np.int64, (None,), "cluster labels"))
 
     @property
     def n_clusters(self) -> int:

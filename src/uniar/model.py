@@ -88,21 +88,21 @@ def _prompt_vocabulary() -> tuple:
 
 
 DEFAULT_PROMPT_VOCAB = _prompt_vocabulary()
+_PROMPT_WORD_TO_ID = {w: i for i, w in enumerate(DEFAULT_PROMPT_VOCAB)}
 PROMPT_PAD_ID = 0
 MAX_PROMPT_TOKENS = 8
 
 
-def tokenize_prompt(prompt, vocab=DEFAULT_PROMPT_VOCAB) -> list:
+def tokenize_prompt(prompt) -> list:
     """Whitespace-split a prompt (PromptSpec or rendered string) into
     vocabulary ids. Unknown words are an error, not an UNK bucket: the
     prompt side of the model is closed-world."""
     text = render_prompt(prompt) if isinstance(prompt, PromptSpec) else str(prompt)
-    index = {w: i for i, w in enumerate(vocab)}
     ids = []
     for word in text.split():
-        if word not in index:
+        if word not in _PROMPT_WORD_TO_ID:
             raise ValidationError(f"unknown prompt token: {word!r}")
-        ids.append(index[word])
+        ids.append(_PROMPT_WORD_TO_ID[word])
     if not ids:
         raise ValidationError("empty prompt")
     if len(ids) > MAX_PROMPT_TOKENS:
@@ -165,10 +165,6 @@ class ModelConfig:
     @property
     def n_upsample(self) -> int:
         return self.patch_size.bit_length() - 1
-
-    @property
-    def vocab(self) -> tuple:
-        return DECODER_VOCAB
 
 
 def write_config(path, cfg: ModelConfig) -> None:

@@ -1,7 +1,9 @@
 """Core value types: images, maps, fixations, scanpaths, tokens, prompts, samples.
 
-All array-backed types copy their input once while coercing its dtype,
-validate, and freeze that copy (read-only), so instances behave as
+Every array-backed type takes its arrays through one rule, `_frozen`:
+one copy into float64 or int64 (int64 only from integer input, so 1.5
+is rejected, never truncated), a shape check, a finiteness check for
+floats, then the copy is made read-only, so instances behave as
 immutable values.
 Coordinates are continuous pixel units with x in [0, width) and y in
 [0, height); pixel lookups round half away from zero and clip to the
@@ -39,9 +41,6 @@ _TARGET_KINDS = {
     "aesthetics score": "score",
 }
 
-GRAYMAP_KINDS = ("unit-range", "normalized-prob")
-
-
 def target_kind(output_type: str) -> str:
     """Return 'heatmap', 'scanpath' or 'score' for a valid output type."""
     try:
@@ -56,9 +55,23 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+def _frozen(values, dtype, shape, what: str) -> np.ndarray:
+    """``values`` copied once into ``dtype`` (np.float64 or np.int64) and
+    returned read-only, after checking it against ``shape``, in which
+    None matches any length. int64 is built only from integer input;
+    floats must be finite. Any failure is a ValidationError."""
+    try:
+        if dtype is np.int64 and np.asarray(values).dtype.kind not in "iu":
+            raise ValidationError(f"{what} must be integers")
+        arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{what}: {e}") from None
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        expected = ", ".join("N" if n is None else str(n) for n in shape)
+        raise ValidationError(f"{what} must have shape ({expected}), got {arr.shape}")
+    if dtype is np.float64 and not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite values")
+    return _freeze(arr)
 
 
 def round_halfaway(x):
@@ -83,11 +96,7 @@ def fixation_pixels(points, width: int, height: int):
 @dataclass(frozen=True)
 class GrayMap:
     """Single-channel map, row-major (height, width) float64.
-
-    ``kind`` optionally asserts a range contract at construction:
-    'unit-range' means every value in [0, 1]; 'normalized-prob' means
-    non-negative values summing to 1 within 1e-9.
-    """
+    ``kind="unit-range"`` asserts every value lies in [0, 1]."""
 
     width: int
     height: int
@@ -97,24 +106,12 @@ class GrayMap:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"map dimensions must be positive, got {self.width}x{self.height}")
-        v = np.array(self.values, dtype=np.float64)
-        if v.ndim == 1:
-            if v.size != self.width * self.height:
-                raise ValidationError(
-                    f"flat map has {v.size} values, expected {self.width * self.height}")
-            v = v.reshape(self.height, self.width)
-        if v.shape != (self.height, self.width):
-            raise ValidationError(f"map shape {v.shape} does not match {self.height}x{self.width}")
-        _check_finite(v, "map")
-        if self.kind is not None:
-            if self.kind not in GRAYMAP_KINDS:
-                raise ValidationError(f"unknown map kind: {self.kind!r}")
-            if self.kind == "unit-range" and (v.min() < 0.0 or v.max() > 1.0):
-                raise ValidationError("unit-range map has values outside [0, 1]")
-            if self.kind == "normalized-prob":
-                if v.min() < 0.0 or abs(float(v.sum()) - 1.0) > 1e-9:
-                    raise ValidationError("normalized-prob map must be non-negative and sum to 1")
-        object.__setattr__(self, "values", _freeze(v))
+        if self.kind not in (None, "unit-range"):
+            raise ValidationError(f"unknown map kind: {self.kind!r}")
+        v = _frozen(self.values, np.float64, (self.height, self.width), "map")
+        if self.kind and (v.min() < 0.0 or v.max() > 1.0):
+            raise ValidationError("unit-range map has values outside [0, 1]")
+        object.__setattr__(self, "values", v)
 
     @property
     def shape(self):
@@ -132,34 +129,16 @@ class SegmentationMap:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"segmentation dimensions must be positive, got {self.width}x{self.height}")
-        lab = np.asarray(self.labels)
-        if lab.ndim == 1:
-            if lab.size != self.width * self.height:
-                raise ValidationError(
-                    f"flat segmentation has {lab.size} labels, expected {self.width * self.height}")
-            lab = lab.reshape(self.height, self.width)
-        if lab.shape != (self.height, self.width):
-            raise ValidationError(
-                f"segmentation shape {lab.shape} does not match {self.height}x{self.width}")
-        if not np.issubdtype(lab.dtype, np.integer):
-            if not np.all(lab == np.floor(lab)):
-                raise ValidationError("segmentation labels must be integers")
-        lab = lab.astype(np.int64)
+        lab = _frozen(self.labels, np.int64, (self.height, self.width), "segmentation labels")
         if lab.min() < 0:
             raise ValidationError("segmentation labels must be >= 0")
-        object.__setattr__(self, "labels", _freeze(lab))
-
-    def label_at(self, x: float, y: float) -> int:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValidationError(f"point ({x}, {y}) outside {self.width}x{self.height} segmentation")
-        cols, rows = fixation_pixels([[x, y]], self.width, self.height)
-        return int(self.labels[rows[0], cols[0]])
+        object.__setattr__(self, "labels", lab)
 
 
 def _check_frame(frame) -> tuple[int, int]:
     try:
         w, h = frame
-        whole = int(w), int(h)
+        whole = int(np.int64(w)), int(np.int64(h))
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != (w, h):  # a fraction is rejected, not truncated
@@ -173,19 +152,13 @@ def _check_frame(frame) -> tuple[int, int]:
 
 def _check_points(points, frame, allow_empty: bool):
     w, h = frame
-    pts = np.array(points, dtype=np.float64)
-    if pts.size == 0:
-        pts = pts.reshape(0, 2)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValidationError(f"points must have shape (N, 2), got {pts.shape}")
-    if pts.shape[0] == 0 and not allow_empty:
-        raise ValidationError("at least one fixation required")
-    _check_finite(pts, "fixations")
-    if pts.shape[0]:
-        x, y = pts[:, 0], pts[:, 1]
-        if x.min() < 0 or y.min() < 0 or x.max() >= w or y.max() >= h:
-            raise ValidationError(f"fixation outside frame {w}x{h}")
-    return _freeze(pts)
+    pts = _frozen(points, np.float64, (None, 2), "fixations")
+    if not len(pts):
+        if not allow_empty:
+            raise ValidationError("at least one fixation required")
+    elif pts.min() < 0 or pts[:, 0].max() >= w or pts[:, 1].max() >= h:
+        raise ValidationError(f"fixation outside frame {w}x{h}")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -232,16 +205,12 @@ class BinnedScanpath:
     bins: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.bins)
-        if b.ndim != 2 or b.shape[1] != 2 or b.shape[0] == 0:
-            raise ValidationError(f"bins must have shape (N, 2) with N >= 1, got {b.shape}")
-        if not np.issubdtype(b.dtype, np.integer):
-            if not np.all(b == np.floor(b)):
-                raise ValidationError("bin indices must be integers")
-        b = b.astype(np.int64)
+        b = _frozen(self.bins, np.int64, (None, 2), "bin indices")
+        if not len(b):
+            raise ValidationError("a binned scanpath needs at least one fixation")
         if b.min() < 0 or b.max() > 999:
             raise ValidationError("bin indices must lie in [0, 999]")
-        object.__setattr__(self, "bins", _freeze(b))
+        object.__setattr__(self, "bins", b)
 
     def __len__(self):
         return self.bins.shape[0]
@@ -297,13 +266,10 @@ class ImageGrid:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"image dimensions must be positive, got {self.width}x{self.height}")
-        p = np.array(self.pixels, dtype=np.float64)
-        if p.shape != (self.height, self.width, 3):
-            raise ValidationError(f"image shape {p.shape} does not match ({self.height}, {self.width}, 3)")
-        _check_finite(p, "image")
+        p = _frozen(self.pixels, np.float64, (self.height, self.width, 3), "image")
         if p.min() < 0.0 or p.max() > 1.0:
             raise ValidationError("image values must lie in [0, 1]")
-        object.__setattr__(self, "pixels", _freeze(p))
+        object.__setattr__(self, "pixels", p)
 
 
 @dataclass(frozen=True)
@@ -326,6 +292,9 @@ class PromptSpec:
     @property
     def kind(self) -> str:
         return target_kind(self.output_type)
+
+
+_TARGET_TYPES = {"heatmap": GrayMap, "scanpath": Scanpath, "score": RatingSample}
 
 
 def render_prompt(spec: PromptSpec) -> str:
@@ -354,7 +323,7 @@ def parse_prompt(text: str) -> PromptSpec:
 class Sample:
     """One training/eval item: an image, its prompt, and a target whose
     type is dictated by the prompt's output type (heatmap GrayMap,
-    Scanpath, or RatingSample; bare numbers are wrapped)."""
+    Scanpath, or RatingSample)."""
 
     image: ImageGrid
     prompt: PromptSpec
@@ -362,24 +331,14 @@ class Sample:
 
     def __post_init__(self):
         kind = self.prompt.kind
-        if kind == "heatmap":
-            if not isinstance(self.target, GrayMap):
-                raise ValidationError("heatmap output type requires a GrayMap target")
-            gt, img = self.target, self.image
-            if (gt.width, gt.height) != (img.width, img.height):
-                raise ValidationError(
-                    f"heatmap target {gt.width}x{gt.height} does not match its "
-                    f"image {img.width}x{img.height}")
-        elif kind == "scanpath":
-            if not isinstance(self.target, Scanpath):
-                raise ValidationError("scanpath output type requires a Scanpath target")
-        else:
-            if isinstance(self.target, RatingSample):
-                return
-            if isinstance(self.target, (GrayMap, Scanpath)) or isinstance(self.target, str):
-                raise ValidationError("score output type requires a RatingSample target")
-            # bare numbers are accepted and wrapped
-            object.__setattr__(self, "target", RatingSample(self.target))
+        gt, img = self.target, self.image
+        if not isinstance(gt, _TARGET_TYPES[kind]):
+            raise ValidationError(
+                f"{kind} output type requires a {_TARGET_TYPES[kind].__name__} target")
+        if kind == "heatmap" and (gt.width, gt.height) != (img.width, img.height):
+            raise ValidationError(
+                f"heatmap target {gt.width}x{gt.height} does not match its "
+                f"image {img.width}x{img.height}")
 
     @property
     def kind(self) -> str:
@@ -399,10 +358,6 @@ class DatasetHandle:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("dataset handle needs a name")
-        if self.input_type not in INPUT_TYPES:
-            raise ValidationError(f"unknown input type: {self.input_type!r}")
-        if self.output_type not in OUTPUT_TYPES:
-            raise ValidationError(f"unknown output type: {self.output_type!r}")
         samples = tuple(self.samples)
         if not samples:
             raise ValidationError(f"dataset handle {self.name!r} has no samples")

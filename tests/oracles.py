@@ -432,9 +432,9 @@ def read_grid_naive(path):
                 raise ParseError(f"row {r + 1}, column {c + 1}: "
                                  f"segmentation labels must be >= 0, got {v!r}")
             values.append(v)
-    if mode == "int64le":
-        return SegmentationMap(width, height, np.array(values, dtype=np.int64))
-    return GrayMap(width, height, np.array(values, dtype=np.float64))
+    dtype = np.int64 if mode == "int64le" else np.float64
+    grid = np.array(values, dtype=dtype).reshape(height, width)
+    return SegmentationMap(width, height, grid) if mode == "int64le" else GrayMap(width, height, grid)
 
 
 # ---------------------------------------------------------------------------

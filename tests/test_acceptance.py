@@ -64,6 +64,7 @@ from uniar.types import (
     GrayMap,
     ImageGrid,
     PromptSpec,
+    RatingSample,
     Sample,
     Scanpath,
     SegmentationMap,
@@ -275,7 +276,7 @@ def test_criterion_4_gradient_checks():
                GrayMap(16, 16, rng.uniform(0, 1, (16, 16)), kind="unit-range")),
         Sample(img(), PromptSpec("natural image", "scanpath"),
                Scanpath((16, 16), rng.uniform(0.5, 15.5, (3, 2)))),
-        Sample(img(), PromptSpec("natural image", "aesthetics score"), 0.35),
+        Sample(img(), PromptSpec("natural image", "aesthetics score"), RatingSample(0.35)),
     ]
     names = sorted(params)
     tensors = [params[k] for k in names]

@@ -183,6 +183,18 @@ class TestCodecCommand:
         assert printed.count("\n") == 2 and printed.endswith("<extra_id_02>\n")
         assert "\r" not in printed
 
+    def test_huge_integer_coordinate_is_data_error(self, tmp_path, capsys):
+        # a 400-digit integer overflows float64; it used to escape as OverflowError
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"frame": [64, 64], "fixations": [[1.0, 2.0], [3.0, ' + "9" * 400
+                       + ']], "input_type": "natural image", "output_type": "scanpath", '
+                       '"query": null}\n')
+        assert run(["codec", "encode", str(src)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            f"error: {src}: line 1: fixations: int too large to convert to float"]
+
 
 # ---------------------------------------------------------------------------
 # evaluation commands
@@ -406,6 +418,18 @@ class TestEvalScanpath:
                     "--gt", str(dirs / "gt")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "frame" in err[0]
+
+    @pytest.mark.parametrize("old,new", [
+        ('"frame": [64, 64]', '"frame": [' + "9" * 400 + ", 64]"),
+        ('"fixations": [[', '"fixations": [[' + "9" * 400 + ", 1.0], ["),
+    ], ids=["frame", "fixation"])
+    def test_huge_integer_is_data_error(self, dirs, capsys, old, new):
+        path = dirs / "gt" / "1.jsonl"
+        path.write_text(path.read_text().replace(old, new, 1))
+        assert run(["eval-scanpath", "--pred", str(dirs / "pred"),
+                    "--gt", str(dirs / "gt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: line 1: ")
 
     def test_fractional_frame_is_data_error(self, dirs, capsys):
         line = (dirs / "gt" / "1.jsonl").read_text()

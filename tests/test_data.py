@@ -712,6 +712,16 @@ class TestScanpathFile:
             read_scanpaths(p)
         assert "query" in str(e.value)
 
+    def test_huge_integer_is_parse_error_at_its_line(self, tmp_path):
+        p = tmp_path / "paths.jsonl"
+        good = ('{"frame": [64, 64], "fixations": [[1.0, 1.0]], '
+                '"input_type": "natural image", "output_type": "scanpath", "query": null}')
+        for old in ("64, 64", "1.0, 1.0"):
+            p.write_text(good + "\n" + good.replace(old, "9" * 400 + ", 1") + "\n")
+            with pytest.raises(ParseError) as e:
+                read_scanpaths(p)
+            assert e.value.line == 2 and e.value.path == p
+
     def test_bad_json_carries_line_number(self, tmp_path):
         p = tmp_path / "paths.jsonl"
         good = ('{"frame": [8, 8], "fixations": [[1.0, 1.0]], '
@@ -1031,6 +1041,13 @@ class TestSharedHelpers:
         write_grid(tmp_path / "s.grid", SegmentationMap(2, 1, [[0, 1]]))
         with pytest.raises(ValidationError, match="expected a float map"):
             data.read_map(tmp_path / "s.grid")
+
+    def test_read_map_takes_its_image_by_keyword(self, tmp_path):
+        write_grid(tmp_path / "m.grid", GrayMap(2, 1, [[0.0, 1.0]]))
+        image = ImageGrid(2, 1, np.zeros((1, 2, 3)))
+        assert data.read_map(tmp_path / "m.grid", image=image).shape == (1, 2)
+        with pytest.raises(ParseError, match="m.grid"):
+            data.read_map(tmp_path / "m.grid", image=ImageGrid(1, 1, np.zeros((1, 1, 3))))
 
     @pytest.mark.parametrize("count", [0, 2])
     def test_read_scanpath_needs_exactly_one_line(self, tmp_path, count):

@@ -224,7 +224,9 @@ class TestSemanticScores:
         labels = np.random.default_rng(seed).integers(0, 5, size=(9, 12))
         seg = SegmentationMap(12, 9, labels)
         path = Scanpath(frame=(12, 9), fixations=points)
-        expect = [seg.label_at(x, y) for x, y in path.fixations]
+        # x, y >= 0, so rounding half away from zero is floor(v + 0.5)
+        expect = [int(labels[min(math.floor(y + 0.5), 8), min(math.floor(x + 0.5), 11)])
+                  for x, y in path.fixations.tolist()]
         got = _seg_labels(path, seg)
         assert got == expect
         assert all(type(v) is int for v in got)

@@ -7,7 +7,7 @@ from uniar import autodiff as ad
 from uniar import model as M
 from uniar.codec import decode_robust, encode_target, quantize
 from uniar.errors import NumericError, ParseError, ValidationError
-from uniar.types import GrayMap, ImageGrid, PromptSpec, Sample, Scanpath
+from uniar.types import GrayMap, ImageGrid, PromptSpec, RatingSample, Sample, Scanpath
 
 from oracles import grad_check
 
@@ -92,7 +92,7 @@ def test_prompt_vocab_covers_every_prompt():
 def test_config_defaults_and_derived():
     assert CFG.grid_size == 8 and CFG.n_patches == 64 and CFG.n_upsample == 3
     assert CFG.loss_weights == (1.0, 500.0, 50.0)
-    assert len(CFG.vocab) == M.VOCAB_SIZE
+    assert len(M.DECODER_VOCAB) == M.VOCAB_SIZE
 
 
 @pytest.mark.parametrize("kw", [
@@ -490,7 +490,7 @@ def test_batch_loss_weights_and_averages_per_sample_losses():
                Scanpath(frame=(64, 64), fixations=[[10, 10], [50, 40]])),
         Sample(ImageGrid(40, 37, rng.uniform(size=(37, 40, 3))), heat_prompt(),
                GrayMap(40, 37, gt, kind="unit-range")),
-        Sample(rand_image(rng, 64), score_prompt(), obs),
+        Sample(rand_image(rng, 64), score_prompt(), RatingSample(obs)),
     ]
     terms = [w_seq * np.log(M.VOCAB_SIZE), w_heat * np.mean((0.5 - gt) ** 2),
              w_score * (0.5 - obs) ** 2]
@@ -514,7 +514,7 @@ def make_batch(rng, cfg, kinds):
             pts = rng.uniform(0, size, size=(3, 2))
             out.append(Sample(img, path_prompt(), Scanpath((size, size), pts)))
         else:
-            out.append(Sample(img, score_prompt(), float(rng.uniform())))
+            out.append(Sample(img, score_prompt(), RatingSample(rng.uniform())))
     return out
 
 
@@ -611,6 +611,14 @@ def test_params_checkpoint_round_trip(tmp_path):
     for k in params:
         assert np.array_equal(loaded[k].data, params[k].data)
         assert loaded[k].requires_grad
+
+
+def test_params_load_takes_its_config_by_keyword(tmp_path):
+    path = tmp_path / "model.ckpt"
+    M.save_params(path, M.init_params(SMALL, seed=33))
+    assert list(M.load_params(path, cfg=SMALL)) == list(M.param_shapes(SMALL))
+    with pytest.raises(ParseError, match="model.ckpt"):
+        M.load_params(path, cfg=CFG)
 
 
 def test_params_checkpoint_config_mismatch(tmp_path):

@@ -28,11 +28,10 @@ from uniar.types import (
 
 
 class TestGrayMap:
-    def test_basic_and_flat_construction(self):
+    def test_basic_construction(self):
         m = GrayMap(3, 2, [[0.0, 0.5, 1.0], [0.1, 0.2, 0.3]])
-        assert m.shape == (2, 3)
-        flat = GrayMap(3, 2, [0.0, 0.5, 1.0, 0.1, 0.2, 0.3])
-        assert np.array_equal(m.values, flat.values)
+        assert m.shape == (2, 3) and m.values.dtype == np.float64
+        assert m.values[1].tolist() == [0.1, 0.2, 0.3]
 
     def test_values_are_read_only(self):
         m = GrayMap(2, 2, np.zeros((2, 2)))
@@ -55,6 +54,8 @@ class TestGrayMap:
             GrayMap(3, 2, np.zeros((3, 3)))
         with pytest.raises(ValidationError):
             GrayMap(3, 2, np.zeros(5))
+        with pytest.raises(ValidationError, match=r"map must have shape \(2, 3\), got \(6,\)"):
+            GrayMap(3, 2, np.zeros(6))  # flat values are not reshaped
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
@@ -68,11 +69,9 @@ class TestGrayMap:
             GrayMap(2, 1, [[0.0, 1.5]], kind="unit-range")
 
     def test_normalized_prob_tag(self):
-        GrayMap(2, 1, [[0.25, 0.75]], kind="normalized-prob")
-        with pytest.raises(ValidationError):
-            GrayMap(2, 1, [[0.5, 0.75]], kind="normalized-prob")
-        with pytest.raises(ValidationError):
-            GrayMap(2, 1, [[-0.5, 1.5]], kind="normalized-prob")
+        # the kind is gone: a map that sums to 1 carries no kind
+        with pytest.raises(ValidationError, match="unknown map kind: 'normalized-prob'"):
+            GrayMap(2, 1, [[0.25, 0.75]], kind="normalized-prob")
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValidationError):
@@ -81,22 +80,24 @@ class TestGrayMap:
 
 class TestSegmentationMap:
     def test_labels_and_lookup(self):
-        seg = SegmentationMap(2, 2, [[0, 1], [2, 3]])
-        assert seg.label_at(1.2, 0.2) == 1
-        assert seg.label_at(0.0, 1.9) == 2
+        seg = SegmentationMap(2, 2, np.array([[0, 1], [2, 3]], dtype=np.int32))
+        assert seg.labels.dtype == np.int64
+        assert seg.labels[0, 1] == 1 and seg.labels[1, 0] == 2
 
     def test_negative_label_rejected(self):
         with pytest.raises(ValidationError):
             SegmentationMap(2, 1, [[0, -1]])
 
     def test_non_integer_rejected(self):
-        with pytest.raises(ValidationError):
-            SegmentationMap(2, 1, [[0.5, 1.0]])
+        # whole floats too: labels are built from integer input only
+        for labels in ([[0.5, 1.0]], [[0.0, 1.0]], np.ones((1, 2)), [[0, None]],
+                       [[True, False]]):
+            with pytest.raises(ValidationError, match="segmentation labels must be integers"):
+                SegmentationMap(2, 1, labels)
 
-    def test_out_of_frame_lookup_rejected(self):
-        seg = SegmentationMap(2, 2, [[0, 1], [2, 3]])
-        with pytest.raises(ValidationError):
-            seg.label_at(2.0, 0.0)
+    def test_flat_labels_rejected(self):
+        with pytest.raises(ValidationError, match="must have shape"):
+            SegmentationMap(2, 2, [0, 1, 2, 3])
 
 
 class TestFixationsAndScanpaths:
@@ -128,7 +129,16 @@ class TestFixationsAndScanpaths:
         with pytest.raises(ValidationError):
             Scanpath(frame=(10, 10), fixations=[[np.nan, 0.0]])
 
-    @pytest.mark.parametrize("frame", [(np.nan, 10), (10, np.inf), (1e400, 10), ("ten", 10)])
+    def test_unconvertible_points_are_validation_errors(self):
+        # every coercion failure (OverflowError, ValueError, TypeError) is a ValidationError
+        for points in ([[10**400, 1.0]], [[1.0, 2.0], [3.0]], [[None, 1.0]], [1.0, 2.0], []):
+            with pytest.raises(ValidationError, match="fixations"):
+                Scanpath(frame=(10, 10), fixations=points)
+            with pytest.raises(ValidationError, match="fixations"):
+                FixationSet(frame=(10, 10), points=points)
+
+    @pytest.mark.parametrize("frame", [(np.nan, 10), (10, np.inf), (1e400, 10), ("ten", 10),
+                                       (10**400, 10)])
     def test_non_numeric_or_non_finite_frame_rejected(self, frame):
         with pytest.raises(ValidationError, match="frame"):
             Scanpath(frame=frame, fixations=[[1.0, 1.0]])
@@ -160,6 +170,12 @@ class TestBinnedScanpath:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             BinnedScanpath(np.zeros((0, 2), dtype=np.int64))
+
+    def test_float_bins_rejected_not_truncated(self):
+        with pytest.raises(ValidationError, match="bin indices must be integers"):
+            BinnedScanpath([[1.5, 2.0]])
+        with pytest.raises(ValidationError, match="bin indices must be integers"):
+            BinnedScanpath(np.ones((2, 2)))
 
 
 class TestTokenString:
@@ -260,7 +276,7 @@ class TestSamplesAndHandles:
         path = Scanpath(frame=(4, 4), fixations=[[1, 1]])
         Sample(img, PromptSpec("webpage", "importance heatmap"), heat)
         Sample(img, PromptSpec("natural image", "scanpath"), path)
-        Sample(img, PromptSpec("natural image", "aesthetics score"), 0.5)
+        Sample(img, PromptSpec("natural image", "aesthetics score"), RatingSample(0.5))
         with pytest.raises(ValidationError):
             Sample(img, PromptSpec("webpage", "importance heatmap"), path)
         with pytest.raises(ValidationError):
@@ -273,18 +289,17 @@ class TestSamplesAndHandles:
         with pytest.raises(ValidationError, match="heatmap target 8x8 does not match its image 4x4"):
             Sample(self._image(), PromptSpec("natural image", "saliency heatmap"), gm)
 
-    def test_score_targets_become_rating_samples(self):
+    def test_score_targets_must_be_rating_samples(self):
         img = self._image()
         prompt = PromptSpec("natural image", "aesthetics score")
-        s = Sample(img, prompt, 0.5)
-        assert s.target == RatingSample(0.5)
         assert Sample(img, prompt, RatingSample(0.25)).target.score == 0.25
         with pytest.raises(ValidationError):
             RatingSample(-0.01)
         with pytest.raises(ValidationError):
             RatingSample(float("nan"))
-        with pytest.raises(ValidationError):
-            Sample(img, prompt, "0.5")
+        for bare in (0.5, "0.5"):  # a bare number is not wrapped
+            with pytest.raises(ValidationError, match="requires a RatingSample target"):
+                Sample(img, prompt, bare)
 
     def test_image_range_checked(self):
         with pytest.raises(ValidationError):
@@ -295,13 +310,15 @@ class TestSamplesAndHandles:
     def test_handle_requires_samples(self):
         with pytest.raises(ValidationError):
             DatasetHandle("empty", "natural image", "aesthetics score", ())
-        s = Sample(self._image(), PromptSpec("natural image", "aesthetics score"), 0.2)
+        s = Sample(self._image(), PromptSpec("natural image", "aesthetics score"),
+                   RatingSample(0.2))
         h = DatasetHandle("one", "natural image", "aesthetics score", (s,))
         assert len(h) == 1
         assert h.kind == "score"
 
     def test_handle_prompt_consistency_enforced(self):
-        s = Sample(self._image(), PromptSpec("natural image", "aesthetics score"), 0.2)
+        s = Sample(self._image(), PromptSpec("natural image", "aesthetics score"),
+                   RatingSample(0.2))
         with pytest.raises(ValidationError):
             DatasetHandle("mismatch", "webpage", "aesthetics score", (s,))
         with pytest.raises(ValidationError):
