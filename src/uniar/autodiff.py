@@ -3,9 +3,11 @@
 Tensors wrap numpy arrays; each differentiable operation records its
 parents and a closure that maps the output gradient to parent
 gradients. ``backward`` walks the graph once in reverse topological
-order. ``Tensor(...)`` rejects NaN/Inf inputs, so attention masks
-must use large finite negatives rather than -inf. Op outputs are
-checked once, where a value leaves the engine (see ``check_finite``).
+order and consumes it as it goes, so each activation is freed once its
+gradient has been passed on. ``Tensor(...)`` rejects NaN/Inf inputs,
+so attention masks must use large finite negatives rather than -inf.
+Op outputs are checked once, where a value leaves the engine (see
+``check_finite``).
 Checkpoints are written and read through ``uniar.data``'s one way out
 and one way in, so an error in reading one names its path.
 
@@ -13,9 +15,13 @@ Op bodies stay lean, as a cached decode step is ~100 ops on one
 position: reductions call the ufunc (``np.add.reduce(x, ...) / n`` is
 what ``x.mean`` computes for float64, minus its Python wrapper), and
 work only the backward needs happens inside ``bwd``. Convolutions are
-one im2col-plus-matmul primitive and its adjoint: ``conv2d`` runs the
-primitive forward and the adjoint for its input gradient,
-``conv2d_transpose`` the other way round. The adjoint splits a
+one primitive and its adjoint: ``conv2d`` runs the primitive forward
+and the adjoint for its input gradient, ``conv2d_transpose`` the other
+way round. The primitive lays its input once on a zero canvas and
+copies one image's kh x kw windows at a time into one reused buffer
+for the matmul, so no batch-sized im2col is ever built or kept; it
+keeps the padded input, from which the weight gradient rebuilds each
+image's windows and sums ``cols_i^T @ g_i``. The adjoint splits a
 stride-s transposed convolution into s x s phase sub-convolutions, one
 per output residue (row mod s, column mod s), each with the taps that
 reach it, so it multiplies no zeros. Both are checked against the
@@ -378,24 +384,57 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolutions (NHWC, weight (kh, kw, cin, cout))
 
-def _conv(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
-    """Cross-correlate NHWC ``x`` with a (kh, kw, cin, cout) kernel: one
-    im2col copy of the windows, then one matmul. Returns the output and
-    the (n, oh, ow, kh*kw*cin) window columns, which each weight
-    gradient multiplies once."""
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """(n, oh, ow, kh, kw, c) view of every kernel window of ``xp``, no copy."""
+    s0, s1, s2, s3 = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (xp.shape[0], oh, ow, kh, kw, xp.shape[3]),
+        (s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False)
+
+
+def _conv(x: np.ndarray, w: np.ndarray, stride: int, pad) -> tuple:
+    """Cross-correlate NHWC ``x`` with a (kh, kw, cin, cout) kernel, with
+    ``pad = (py, px)`` zeros on each side: ``x`` is laid once on a zero
+    canvas, and each image's windows are copied into one reused buffer
+    and multiplied into the output. Returns the output and the padded
+    input, from which ``_conv_weight_grad`` rebuilds the windows."""
     kh, kw, cin, cout = w.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     n, h, wd, _ = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (wd - kw) // stride + 1
+    py, px = pad
+    oh = (h + 2 * py - kh) // stride + 1
+    ow = (wd + 2 * px - kw) // stride + 1
     if oh <= 0 or ow <= 0:
-        raise ValidationError(f"kernel {kh}x{kw} too large for input {h}x{wd}")
-    s0, s1, s2, s3 = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (n, oh, ow, kh, kw, cin), (s0, s1 * stride, s2 * stride, s1, s2, s3))
-    cols = np.ascontiguousarray(win).reshape(n, oh, ow, kh * kw * cin)
-    return cols @ w.reshape(kh * kw * cin, cout), cols
+        raise ValidationError(f"kernel {kh}x{kw} too large for input {h + 2 * py}x{wd + 2 * px}")
+    xp = x
+    if py or px:
+        xp = np.zeros((n, h + 2 * py, wd + 2 * px, cin))
+        xp[:, py:py + h, px:px + wd] = x
+    win = _windows(xp, kh, kw, stride, oh, ow)
+    cols = np.empty((oh, ow, kh * kw * cin))
+    w2 = w.reshape(-1, cout)
+    out = np.empty((n, oh, ow, cout))
+    for i in range(n):
+        cols.reshape(oh, ow, kh, kw, cin)[...] = win[i]
+        np.matmul(cols, w2, out=out[i])
+    return out, xp
+
+
+def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Weight gradient of ``_conv`` over the padded input ``xp`` for the
+    output gradient ``g``: the sum over images of ``cols_i^T @ g_i``,
+    each image's windows rebuilt in one reused buffer."""
+    n, oh, ow, cout = g.shape
+    cin = xp.shape[3]
+    win = _windows(xp, kh, kw, stride, oh, ow)
+    g2 = g.reshape(n, oh * ow, cout)
+    cols = np.empty((oh * ow, kh * kw * cin))
+    gw = np.zeros((kh * kw * cin, cout))
+    part = np.empty_like(gw)
+    for i in range(n):
+        cols.reshape(oh, ow, kh, kw, cin)[...] = win[i]
+        np.matmul(cols.T, g2[i], out=part)
+        gw += part
+    return gw.reshape(kh, kw, cin, cout)
 
 
 def _conv_adjoint(g: np.ndarray, w: np.ndarray, stride: int, pad: int, hw) -> np.ndarray:
@@ -413,8 +452,7 @@ def _conv_adjoint(g: np.ndarray, w: np.ndarray, stride: int, pad: int, hw) -> np
         for rx in range(min(stride, kw, wd + 2 * pad)):
             sub = w[ry::stride, rx::stride]
             py, px = sub.shape[0] - 1, sub.shape[1] - 1
-            gp = np.pad(g, ((0, 0), (py, py), (px, px), (0, 0))) if py or px else g
-            out, _ = _conv(gp, sub[::-1, ::-1].transpose(0, 1, 3, 2), 1, 0)
+            out, _ = _conv(g, sub[::-1, ::-1].transpose(0, 1, 3, 2), 1, (py, px))
             dst = full[:, ry::stride, rx::stride]
             qy, qx = min(dst.shape[1], out.shape[1]), min(dst.shape[2], out.shape[2])
             dst[:, :qy, :qx] = out[:, :qy, :qx]
@@ -428,11 +466,11 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
         raise ValidationError("conv2d expects NHWC input and (kh,kw,cin,cout) weight")
     if x.shape[3] != w.shape[2]:
         raise ValidationError(f"conv2d channel mismatch: input {x.shape[3]}, weight {w.shape[2]}")
-    data, cols = _conv(x.data, w.data, stride, pad)
+    data, xp = _conv(x.data, w.data, stride, (pad, pad))
 
     def bwd(g):
-        gw = cols.reshape(-1, cols.shape[3]).T @ g.reshape(-1, g.shape[3])
-        return _conv_adjoint(g, w.data, stride, pad, x.shape[1:3]), gw.reshape(w.shape)
+        gw = _conv_weight_grad(xp, g, w.shape[0], w.shape[1], stride)
+        return _conv_adjoint(g, w.data, stride, pad, x.shape[1:3]), gw
 
     return _make(data, (x, w), bwd, "conv2d")
 
@@ -454,9 +492,8 @@ def conv2d_transpose(x, w, stride: int = 2, pad: int = 0) -> Tensor:
     data = _conv_adjoint(x.data, w.data, stride, pad, (oh, ow))
 
     def bwd(g):
-        gx, gcols = _conv(g, w.data, stride, pad)
-        gw = gcols.reshape(-1, gcols.shape[3]).T @ x.data.reshape(-1, cin)
-        return gx, gw.reshape(w.shape)
+        gx, gp = _conv(g, w.data, stride, (pad, pad))
+        return gx, _conv_weight_grad(gp, x.data, kh, kw, stride)
 
     return _make(data, (x, w), bwd, "conv2d_transpose")
 
@@ -486,14 +523,28 @@ def topo_order(root: Tensor) -> list:
     return topo
 
 
+def _consumed(g):
+    raise ValidationError("backward reached a graph that an earlier backward consumed; "
+                          "rebuild the forward to differentiate again")
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf that influences a
     scalar loss. Leaves the loss never touches keep ``grad`` None,
-    which the optimizer reads as zero."""
+    which the optimizer reads as zero.
+
+    Consumes the graph as it walks it: once a node has passed its
+    gradient on, it drops its parents and its closure, so activations
+    and the arrays their closures hold are freed during the walk, even
+    while the caller still holds ``loss``. A second backward that
+    reaches a consumed node raises ValidationError; fresh graphs over
+    the same leaves keep accumulating into ``grad``."""
     if loss.data.size != 1:
         raise ValidationError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo_order(loss)):
+    order = topo_order(loss)
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -502,7 +553,8 @@ def backward(loss: Tensor) -> None:
                 node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward(g)
-        for p, pg in zip(node._parents, parent_grads):
+        parents, node._parents, node._backward = node._parents, (), _consumed
+        for p, pg in zip(parents, parent_grads):
             if not p.requires_grad:
                 continue
             if id(p) in grads:

@@ -308,6 +308,30 @@ def conv2d_transpose_naive(x, w, stride=2, pad=0):
     return out
 
 
+def conv2d_weight_grad_naive(x, g, kh, kw, stride=1, pad=0):
+    """Weight gradient of ``conv2d_naive`` summed over a batch: NHWC
+    inputs ``x``, output gradients ``g``. Entry [ky][kx][ci][co] adds
+    x[i][iy][ix][ci] * g[i][oy][ox][co] for every image and output pixel
+    whose window puts tap (ky, kx) on input pixel (iy, ix)."""
+    H = len(x[0])
+    W = len(x[0][0])
+    cin = len(x[0][0][0])
+    cout = len(g[0][0][0])
+    gw = [[[[0.0] * cout for _ in range(cin)] for _ in range(kw)] for _ in range(kh)]
+    for xi, gi in zip(x, g):
+        for oy, grow in enumerate(gi):
+            for ox, gpix in enumerate(grow):
+                for ky in range(kh):
+                    for kx in range(kw):
+                        iy = oy * stride + ky - pad
+                        ix = ox * stride + kx - pad
+                        if 0 <= iy < H and 0 <= ix < W:
+                            for ci in range(cin):
+                                for co in range(cout):
+                                    gw[ky][kx][ci][co] += xi[iy][ix][ci] * gpix[co]
+    return gw
+
+
 def layer_norm_naive(x, g, eps=1e-5):
     """Layer norm over the last axis and its input gradient for the
     upstream gradient ``g``, written with ndarray's ``mean`` method.

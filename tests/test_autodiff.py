@@ -1,6 +1,7 @@
 import ast
 import itertools
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from uniar.errors import NumericError, ParseError, UniarError, ValidationError
 from oracles import (
     conv2d_naive,
     conv2d_transpose_naive,
+    conv2d_weight_grad_naive,
     grad_check,
     layer_norm_naive,
     softmax_naive,
@@ -175,20 +177,26 @@ def test_grad_cross_entropy(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_conv2d(seed):
+    # a batch sums its weight gradient over images; the loss is linear in
+    # each coordinate, so central differences are exact up to rounding,
+    # which a wider step shrinks
     rng = np.random.default_rng(seed)
-    x = ad.Tensor(rng.normal(size=(1, 5, 5, 2)))
-    w = ad.Tensor(rng.normal(size=(3, 3, 2, 3)))
-    c = rng.normal(size=(1, 3, 3, 3))
-    check(lambda x, w: dot_loss(ad.conv2d(x, w, stride=2, pad=1), c), [x, w])
+    for n in (1, 3):
+        x = ad.Tensor(rng.normal(size=(n, 5, 5, 2)))
+        w = ad.Tensor(rng.normal(size=(3, 3, 2, 3)))
+        c = rng.normal(size=(n, 3, 3, 3))
+        check(lambda x, w: dot_loss(ad.conv2d(x, w, stride=2, pad=1), c), [x, w], h=1e-3)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_conv2d_transpose(seed):
     rng = np.random.default_rng(seed)
-    x = ad.Tensor(rng.normal(size=(1, 3, 3, 3)))
-    w = ad.Tensor(rng.normal(size=(4, 4, 2, 3)))
-    c = rng.normal(size=(1, 6, 6, 2))
-    check(lambda x, w: dot_loss(ad.conv2d_transpose(x, w, stride=2, pad=1), c), [x, w])
+    for n in (1, 3):
+        x = ad.Tensor(rng.normal(size=(n, 3, 3, 3)))
+        w = ad.Tensor(rng.normal(size=(4, 4, 2, 3)))
+        c = rng.normal(size=(n, 6, 6, 2))
+        check(lambda x, w: dot_loss(ad.conv2d_transpose(x, w, stride=2, pad=1), c), [x, w],
+              h=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +293,28 @@ def test_conv2d_equals_package_loop_reference(stride, pad):
                      for xi in x])
     assert fast.shape == slow.shape
     assert np.allclose(fast, slow, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+def test_conv_weight_gradients_over_a_batch_match_the_loop_oracle(stride, pad):
+    # <conv2d_transpose(x, w), g> = <conv2d(g, w), x>, so one oracle gives
+    # both weight gradients: the transposed conv's input and output
+    # gradient are the plain conv's output gradient and input
+    rng = np.random.default_rng(10 * stride + pad)
+    w = ad.Tensor(rng.normal(size=(3, 3, 2, 4)), requires_grad=True)
+    x = rng.normal(size=(3, 7, 6, 2))
+    out = ad.conv2d(ad.Tensor(x), w, stride=stride, pad=pad)
+    g = rng.normal(size=out.shape)
+    ad.backward(dot_loss(out, g))
+    want = np.array(conv2d_weight_grad_naive(x.tolist(), g.tolist(), 3, 3, stride, pad))
+    assert np.max(np.abs(w.grad - want)) <= 1e-12
+
+    wt = ad.Tensor(w.data, requires_grad=True)
+    xt = x[:, :(g.shape[1] - 1) * stride + 3 - 2 * pad, :(g.shape[2] - 1) * stride + 3 - 2 * pad]
+    ad.backward(dot_loss(ad.conv2d_transpose(ad.Tensor(g), wt, stride=stride, pad=pad), xt))
+    want = np.array(conv2d_weight_grad_naive(xt.tolist(), g.tolist(), 3, 3, stride, pad))
+    assert np.max(np.abs(wt.grad - want)) <= 1e-12
 
 
 # 4x4 kernels, then phases without taps (kh < stride) and phases with
@@ -487,6 +517,19 @@ def test_no_grad_suppresses_graph():
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
+def test_backward_consumes_its_graph():
+    x = ad.Tensor(np.array([3.0]), requires_grad=True)
+    y = ad.mul(x, x)
+    loss = ad.tsum(y)
+    ad.backward(loss)
+    with pytest.raises(ValidationError, match="consumed"):
+        ad.backward(loss)
+    # a fresh loss that reaches the consumed intermediate fails the same way
+    with pytest.raises(ValidationError, match="consumed"):
+        ad.backward(ad.tsum(ad.scale(y, 2.0)))
+    assert np.array_equal(x.grad, [6.0])
+
+
 def test_second_backward_accumulates_into_leaves():
     x = ad.Tensor(np.array([3.0]), requires_grad=True)
     ad.backward(ad.tsum(ad.mul(x, x)))
@@ -495,6 +538,35 @@ def test_second_backward_accumulates_into_leaves():
     assert np.allclose(x.grad, 2 * first)
     ad.zero_grads([x])
     assert x.grad is None
+
+
+# convolution memory: the heatmap read-out shape, 8 images of 64x64x8
+# under a 3x3 kernel with pad 1. Each such array is 2 MiB; a batch-sized
+# im2col of it is 18 MiB.
+
+
+@pytest.fixture(scope="module")
+def conv_memory():
+    rng = np.random.default_rng(0)
+    x = ad.Tensor(rng.normal(size=(8, 64, 64, 8)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(3, 3, 8, 8)), requires_grad=True)
+    c = ad.Tensor(rng.normal(size=(8, 64, 64, 8)))
+    tracemalloc.start()
+    try:
+        out = ad.conv2d(x, w, stride=1, pad=1)
+        after_forward = tracemalloc.get_traced_memory()[0]
+        loss = ad.tsum(ad.mul(out, c))
+        ad.backward(loss)  # measured while out and loss are still held
+        after_backward, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {"after_forward": after_forward, "peak": peak, "after_backward": after_backward}
+
+
+@pytest.mark.parametrize("measure,mib", [("after_forward", 6), ("peak", 25),
+                                         ("after_backward", 6)])
+def test_conv2d_keeps_no_batch_sized_windows(conv_memory, measure, mib):
+    assert conv_memory[measure] < mib * 2**20
 
 
 # ---------------------------------------------------------------------------

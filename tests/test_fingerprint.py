@@ -38,8 +38,8 @@ PROVENANCE = {
     "cpu_model": "Intel(R) Xeon(R) Processor",
 }
 PINNED_SHA256 = {
-    "model.ckpt": "007ce21d88742b7051d5befe43edfb191e2f8ac4cd2a91fc570b3150e441e7ae",
-    "train_log.csv": "67c6e7fd09725bf1a21fc51e622f3ff005ca772e07e00eddf8b743583cc3ebd2",
+    "model.ckpt": "b17aff427a1e05c1b13e597221aa2de0cb31c9ab4c88ad1a5c197d1660a5cfe3",
+    "train_log.csv": "6f88c1858b5569619d702388354dce2f047eb6a4654f2e0b007bcc6cba332972",
     "heatmap.pgm": "8bd317f2d0adb7c1533ce6de57c733ce0e36461c50107a282629df82b9048081",
 }
 
