@@ -11,21 +11,24 @@ Op outputs are checked once, where a value leaves the engine (see
 Checkpoints are written and read through ``uniar.data``'s one way out
 and one way in, so an error in reading one names its path.
 
-Op bodies stay lean, as a cached decode step is ~100 ops on one
-position: reductions call the ufunc (``np.add.reduce(x, ...) / n`` is
-what ``x.mean`` computes for float64, minus its Python wrapper), and
-work only the backward needs happens inside ``bwd``. Convolutions are
-one primitive and its adjoint: ``conv2d`` runs the primitive forward
-and the adjoint for its input gradient, ``conv2d_transpose`` the other
-way round. The primitive lays its input once on a zero canvas and
-copies one image's kh x kw windows at a time into one reused buffer
-for the matmul, so no batch-sized im2col is ever built or kept; it
-keeps the padded input, from which the weight gradient rebuilds each
-image's windows and sums ``cols_i^T @ g_i``. The adjoint splits a
-stride-s transposed convolution into s x s phase sub-convolutions, one
-per output residue (row mod s, column mod s), each with the taps that
-reach it, so it multiplies no zeros. Both are checked against the
-explicit-loop oracles in the test suite.
+Op bodies stay lean, as inference runs them on small arrays, where
+Python overhead is a large share (a cached decode step skips them: it
+runs their forwards, such as ``softmax_data``, on plain arrays and
+hands its result back through ``leaf``): reductions call the ufunc
+(``np.add.reduce(x, ...) / n`` is what ``x.mean`` computes for
+float64, minus its Python wrapper), and work only the backward needs
+happens inside ``bwd``. Convolutions are one primitive and its
+adjoint: ``conv2d`` runs the primitive forward and the adjoint for its
+input gradient, ``conv2d_transpose`` the other way round. The
+primitive lays its input once on a zero canvas and copies one image's
+kh x kw windows at a time into one reused buffer for the matmul, so no
+batch-sized im2col is ever built or kept; it keeps the padded input,
+from which the weight gradient rebuilds each image's windows and sums
+``cols_i^T @ g_i``. The adjoint splits a stride-s transposed
+convolution into s x s phase sub-convolutions, one per output residue
+(row mod s, column mod s), each with the taps that reach it, so it
+multiplies no zeros. Both are checked against the explicit-loop
+oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def grad_enabled() -> bool:
+    """Whether ops record a graph here (False inside ``no_grad``)."""
+    return _GRAD_ENABLED
 
 
 def check_finite(data, what: str, rerun=None) -> None:
@@ -121,6 +129,16 @@ def _make(data: np.ndarray, parents, bwd, op: str) -> Tensor:
     out.requires_grad = track
     out._parents = tuple(parents) if track else ()
     out._backward = bwd if track else None
+    return out
+
+
+def leaf(data: np.ndarray, what: str, requires_grad: bool = False) -> Tensor:
+    """A graph leaf over a float64 array that needs no scan here: one
+    already checked (a checkpoint tensor), or a grad-free result made on
+    plain arrays that a boundary checks. Inside a boundary's re-run it is
+    checked like an op output and named ``what``."""
+    out = _make(data, (), None, what)
+    out.requires_grad = bool(requires_grad)
     return out
 
 
@@ -207,11 +225,15 @@ def sigmoid(a) -> Tensor:
     return _make(data, (a,), bwd, "sigmoid")
 
 
+def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``softmax``'s forward on a plain array, for grad-free callers."""
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = _wrap(a)
-    shifted = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / np.add.reduce(e, axis=axis, keepdims=True)
+    data = softmax_data(a.data, axis)
 
     def bwd(g):
         inner = np.add.reduce(g * data, axis=axis, keepdims=True)
@@ -220,14 +242,26 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(data, (a,), bwd, "softmax")
 
 
+def _normalized(x: np.ndarray, eps: float) -> tuple:
+    """``x`` at zero mean / unit variance over its last axis, and the
+    inverse standard deviation that scaled it."""
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv, inv
+
+
+def layer_norm_data(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """``layer_norm``'s forward on a plain array, for grad-free callers."""
+    return _normalized(x, eps)[0]
+
+
 def layer_norm(a, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance."""
     a = _wrap(a)
     n = a.data.shape[-1]
-    xc = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / n
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat, inv = _normalized(a.data, eps)
 
     def bwd(g):
         m = np.add.reduce(g, axis=-1, keepdims=True) / n

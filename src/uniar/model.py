@@ -15,6 +15,7 @@ which ``Tensor(...)`` rejects (op outputs are checked at boundaries).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,7 +321,8 @@ def load_params(path, cfg: ModelConfig) -> dict:
         if arrays[name].shape != shapes[name]:
             raise ParseError(f"tensor {name} has shape {arrays[name].shape}, "
                              f"but the config expects {shapes[name]}")
-        params[name] = Tensor(arrays[name], requires_grad=True)
+        # load_checkpoint has checked every tensor finite
+        params[name] = ad.leaf(arrays[name], "the checkpoint", requires_grad=True)
     return params
 
 
@@ -335,9 +337,19 @@ def _ln(x, params, prefix):
     return ad.add(ad.mul(ad.layer_norm(x), params[f"{prefix}.g"]), params[f"{prefix}.b"])
 
 
+def _ln_data(x: np.ndarray, params, prefix) -> np.ndarray:
+    return ad.layer_norm_data(x) * params[f"{prefix}.g"].data + params[f"{prefix}.b"].data
+
+
 def _ffn(x, params, prefix):
     h = ad.relu(ad.add(ad.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
     return ad.add(ad.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+
+
+def _ffn_data(x: np.ndarray, params, prefix) -> np.ndarray:
+    h = np.matmul(x, params[f"{prefix}.w1"].data) + params[f"{prefix}.b1"].data
+    h = np.where(h > 0, h, 0.0)  # ad.relu's forward
+    return np.matmul(h, params[f"{prefix}.w2"].data) + params[f"{prefix}.b2"].data
 
 
 def _split_heads(x, heads):
@@ -360,30 +372,50 @@ def _keys_values(kv_in, params, prefix, heads) -> tuple:
             _split_heads(ad.matmul(kv_in, params[f"{prefix}.wv"]), heads))
 
 
-def _attention(q_in, kv_in, params, prefix, heads, mask=None, cache=None, grow=False):
-    """Multi-head scaled dot-product attention. ``mask`` is an additive
-    numpy array broadcastable to (B, heads, Tq, Tk), or None.
+def _keys_values_data(kv_in: np.ndarray, params, prefix, heads) -> tuple:
+    """_keys_values on plain arrays, with the same numpy calls."""
+    b, t, d = kv_in.shape
+    k = np.matmul(kv_in, params[f"{prefix}.wk"].data).reshape(b, t, heads, d // heads)
+    v = np.matmul(kv_in, params[f"{prefix}.wv"].data).reshape(b, t, heads, d // heads)
+    return k.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
 
-    With a ``cache`` dict, the keys and values are kept under ``prefix``.
-    A growing (self-attention) cache appends those of ``kv_in`` to the
-    cached ones; any other cache computes them from its first ``kv_in``
-    and reuses them on later calls."""
+
+def _attention(q_in, kv_in, params, prefix, heads, mask=None):
+    """Multi-head scaled dot-product attention. ``mask`` is an additive
+    numpy array broadcastable to (B, heads, Tq, Tk), or None."""
     q = _split_heads(ad.matmul(q_in, params[f"{prefix}.wq"]), heads)
-    if cache is not None and prefix in cache and not grow:
-        k_t, v = cache[prefix]
-    else:
-        k_t, v = _keys_values(kv_in, params, prefix, heads)
-        if cache is not None:
-            if prefix in cache:
-                old_k, old_v = cache[prefix]
-                k_t, v = ad.concat([old_k, k_t], axis=3), ad.concat([old_v, v], axis=2)
-            cache[prefix] = (k_t, v)
+    k_t, v = _keys_values(kv_in, params, prefix, heads)
     hd = q.shape[-1]
     scores = ad.scale(ad.matmul(q, k_t), 1.0 / np.sqrt(hd))
     if mask is not None:
         scores = ad.add(scores, Tensor(mask))
     att = ad.softmax(scores, axis=-1)
     return ad.matmul(_merge_heads(ad.matmul(att, v)), params[f"{prefix}.wo"])
+
+
+def _cached_attention(x, params, prefix, heads, mask, cache, grow=False) -> np.ndarray:
+    """_attention of ``x`` on plain arrays, over the keys and values that
+    ``cache[prefix]`` holds (see _new_cache). A growing (self-attention)
+    cache first writes those of ``x`` in place, at positions
+    cache["length"] onward."""
+    b, length, d = x.shape
+    hd = d // heads
+    q = np.matmul(x, params[f"{prefix}.wq"].data).reshape(b, length, heads, hd)
+    k_t, v = cache[prefix]
+    if grow:
+        end = cache["length"] + length
+        k_t[..., end - length:end], v[:, :, end - length:end] = _keys_values_data(
+            x, params, prefix, heads)
+        # the keys' prefix is copied out C-contiguous, as a concat of one
+        # position a step lays it out: with the buffer's row stride,
+        # OpenBLAS's gemv rounds rows of 2 or 3 keys differently
+        k_t, v = np.ascontiguousarray(k_t[..., :end]), v[:, :, :end]
+    scores = np.matmul(q.transpose(0, 2, 1, 3), k_t) * (1.0 / math.sqrt(hd))
+    if mask is not None:
+        scores = scores + mask
+    att = ad.softmax_data(scores)
+    return np.matmul(np.matmul(att, v).transpose(0, 2, 1, 3).reshape(b, length, d),
+                     params[f"{prefix}.wo"].data)
 
 
 def _causal_mask(length: int, start: int = 0):
@@ -518,39 +550,82 @@ def _rating_batch(img_tokens, params, cfg) -> Tensor:
 # ---------------------------------------------------------------------------
 # decoder
 
+def _new_cache(enc_out: np.ndarray, params, cfg) -> dict:
+    """Decode cache for a batch of encoder outputs, at length 0: per
+    decoder layer, self-attention's K^T (B, heads, hd, max_output_tokens)
+    and V (B, heads, max_output_tokens, hd) buffers, written as positions
+    arrive, and cross-attention's K^T and V over ``enc_out``."""
+    b = enc_out.shape[0]
+    hd = cfg.embed_dim // cfg.heads
+    n = cfg.max_output_tokens
+    cache = {"length": 0}
+    for i in range(cfg.decoder_layers):
+        cache[f"dec{i}.self"] = (np.empty((b, cfg.heads, hd, n)), np.empty((b, cfg.heads, n, hd)))
+        cache[f"dec{i}.cross"] = _keys_values_data(enc_out, params, f"dec{i}.cross", cfg.heads)
+    return cache
+
+
 def _decode_batch(enc_out, enc_mask, dec_ids: np.ndarray, params, cfg, cache=None) -> Tensor:
     """Decoder logits (B, L, vocab) under a causal mask. ``enc_mask`` is
     the additive key mask over ``enc_out``, or None.
 
-    Without a cache (teacher forcing), ``dec_ids`` start with BOS;
-    padding (any id) past a sample's length is harmless as long as the
-    caller zero-weights those positions. With a ``cache`` dict (one per
-    decoded sequence and encoder output, empty at first), ``dec_ids`` are
-    only the positions the cache has not seen yet: they attend to the
-    cached self-attention keys and values, which grow by these positions,
-    and cross-attention keys and values over ``enc_out`` are computed on
-    the first call only."""
+    Without a cache (teacher forcing, full recompute), ``dec_ids`` start
+    with BOS and the decoder composes engine ops, which carry gradients
+    and name an op that overflows; padding (any id) past a sample's
+    length is harmless as long as the caller zero-weights those
+    positions. With a ``cache`` dict (one per batch of decoded sequences
+    and their encoder output, empty at first), ``dec_ids`` are only the
+    positions the cache has not seen yet, and the step runs on plain
+    arrays (_decode_step). The first call fills the cache with numpy
+    key/value arrays with a batch axis, self-attention's preallocated to
+    max_output_tokens positions (_new_cache). A cache holds no graph:
+    passing one while grad mode is on raises ValidationError."""
     b, length = dec_ids.shape
+    if cache is not None and ad.grad_enabled():
+        raise ValidationError("a decode cache is grad-free; decode with it under no_grad")
     start = cache.get("length", 0) if cache is not None else 0
     if start + length > cfg.max_output_tokens:
         raise ValidationError(
             f"decoder input length {start + length} exceeds max_output_tokens "
             f"{cfg.max_output_tokens}")
-    y = ad.add(ad.embedding(params["dec_embed"], dec_ids),
-               ad.narrow(params["pos_dec"], 0, start, length))
+    embedded = ad.embedding(params["dec_embed"], dec_ids)
+    if cache is not None:
+        if not cache:
+            cache.update(_new_cache(enc_out.data, params, cfg))
+        return ad.leaf(_decode_step(embedded.data, enc_mask, params, cfg, cache), "the decoder")
+    y = ad.add(embedded, ad.narrow(params["pos_dec"], 0, start, length))
     causal = _causal_mask(length, start)
     for i in range(cfg.decoder_layers):
         h = _ln(y, params, f"dec{i}.ln1")
-        y = ad.add(y, _attention(h, h, params, f"dec{i}.self", cfg.heads, mask=causal,
-                                 cache=cache, grow=True))
+        y = ad.add(y, _attention(h, h, params, f"dec{i}.self", cfg.heads, mask=causal))
         ca = _attention(_ln(y, params, f"dec{i}.ln2"), enc_out,
-                        params, f"dec{i}.cross", cfg.heads, mask=enc_mask, cache=cache)
+                        params, f"dec{i}.cross", cfg.heads, mask=enc_mask)
         y = ad.add(y, ca)
         y = ad.add(y, _ffn(_ln(y, params, f"dec{i}.ln3"), params, f"dec{i}.ffn"))
-    if cache is not None:
-        cache["length"] = start + length
     y = _ln(y, params, "dec_ln")
     return ad.add(ad.matmul(y, params["out.w"]), params["out.b"])
+
+
+def _decode_step(embedded: np.ndarray, enc_mask, params, cfg, cache) -> np.ndarray:
+    """_decode_batch's composed decoder on plain arrays, for the embedded
+    new positions against ``cache`` (see _new_cache), which it advances.
+    It makes the ops' numpy calls in their order, so its logits equal, bit
+    for bit, those of the composed ops over a concat-grown engine-op
+    cache (tests/oracles.py) when each call adds one position, as greedy
+    decoding does."""
+    length = embedded.shape[1]
+    start = cache["length"]
+    y = embedded + params["pos_dec"].data[start:start + length]
+    causal = _causal_mask(length, start)
+    for i in range(cfg.decoder_layers):
+        h = _ln_data(y, params, f"dec{i}.ln1")
+        y = y + _cached_attention(h, params, f"dec{i}.self", cfg.heads, causal, cache,
+                                  grow=True)
+        y = y + _cached_attention(_ln_data(y, params, f"dec{i}.ln2"), params, f"dec{i}.cross",
+                                  cfg.heads, enc_mask, cache)
+        y = y + _ffn_data(_ln_data(y, params, f"dec{i}.ln3"), params, f"dec{i}.ffn")
+    cache["length"] = start + length
+    return np.matmul(_ln_data(y, params, "dec_ln"), params["out.w"].data) + params["out.b"].data
 
 
 def next_token_logits(fused, params, cfg: ModelConfig, prefix_ids=(BOS_ID,),
@@ -572,8 +647,12 @@ def scanpath_generate(fused, params, cfg: ModelConfig, max_tokens=None) -> str:
     """Greedy decode of encode_inputs' (1, T, D) output, starting from
     BOS; stops after emitting the end sentinel or max_tokens tokens. The
     raw string may be malformed, downstream decoding is fault-tolerant.
-    Each step decodes only the newest token, against a key/value cache
-    of the earlier ones."""
+    Each step decodes only the newest token, against a grad-free cache of
+    the earlier ones: numpy key/value arrays with a batch axis, the
+    self-attention ones preallocated to max_output_tokens positions (see
+    _decode_batch). A step whose logits are not finite is re-run as a
+    full recompute through the engine's ops, which names the op that
+    overflowed."""
     if max_tokens is None:
         max_tokens = cfg.max_output_tokens
     if not (1 <= max_tokens <= cfg.max_output_tokens):
@@ -584,7 +663,7 @@ def scanpath_generate(fused, params, cfg: ModelConfig, max_tokens=None) -> str:
     for _ in range(max_tokens):
         logits = next_token_logits(fused, params, cfg, out[-1:], cache=cache)
         ad.check_finite(logits, "the decoder",
-                        lambda: next_token_logits(fused, params, cfg, out, cache={}))
+                        lambda: next_token_logits(fused, params, cfg, out))
         out.append(int(np.argmax(logits)))
         if out[-1] == END_ID:
             break

@@ -8,7 +8,9 @@ error and map types, so its results compare directly with `read_grid`'s,
 and `grad_check` only calls `backward` to get the gradients it checks
 against central differences. The `*_ref` scanpath functions are the
 library's earlier loops over numpy scalars, kept as they were; they
-borrow only the result types and `default_bandwidth`."""
+borrow only the result types and `default_bandwidth`. The `*_cached_ref`
+decoder functions are the model's earlier decode cache of engine-op
+Tensors, kept as it was; they borrow the model's layer helpers."""
 
 import math
 import struct
@@ -16,6 +18,7 @@ import struct
 import numpy as np
 
 from uniar import autodiff as ad
+from uniar import model as M
 from uniar.errors import ParseError, ValidationError
 from uniar.metrics.scanpath import MeanShiftResult, MultiMatchScores, default_bandwidth
 from uniar.types import FixationSet, GrayMap, Scanpath, SegmentationMap
@@ -357,13 +360,21 @@ def softmax_naive(x, g, axis=-1):
     return out, out * (g - inner)
 
 
+# a coordinate below this share of its tensor's largest gradient is
+# scored against that share, not its own size: the rounding error of a
+# central difference scales with the loss, not with the coordinate
+GRAD_FLOOR_SHARE = 1e-3
+
+
 def grad_check(f, x, h: float = 1e-5, sample: int | None = None, seed: int = 0) -> float:
     """Max relative error between backward gradients and central
     differences, over all (or ``sample`` per-tensor seeded random)
     coordinates of the leaf tensors in ``x``.
 
     ``f`` must rebuild its graph on each call and return a scalar
-    Tensor. Relative error = |a - b| / max(1e-8, |a| + |b|).
+    Tensor. Relative error = |a - b| / max(floor, |a| + |b|), where the
+    floor is GRAD_FLOOR_SHARE times the tensor's largest backward
+    gradient, and at least 1e-8.
     """
     if not (h > 0):
         raise ValidationError("step size must be positive")
@@ -383,6 +394,7 @@ def grad_check(f, x, h: float = 1e-5, sample: int | None = None, seed: int = 0) 
             idxs = range(n)
         else:
             idxs = rng.choice(n, size=sample, replace=False)
+        floor = max(1e-8, GRAD_FLOOR_SHARE * float(np.max(np.abs(ga), initial=0.0)))
         flat = t.data.reshape(-1)
         for i in idxs:
             orig = flat[i]
@@ -393,9 +405,55 @@ def grad_check(f, x, h: float = 1e-5, sample: int | None = None, seed: int = 0) 
             flat[i] = orig
             num = (fp - fm) / (2.0 * h)
             a = float(ga.reshape(-1)[i])
-            err = abs(num - a) / max(1e-8, abs(num) + abs(a))
+            err = abs(num - a) / max(floor, abs(num) + abs(a))
             worst = max(worst, err)
     return worst
+
+
+def attention_cached_ref(q_in, kv_in, params, prefix, heads, mask, cache, grow):
+    """The decoder's cached attention as engine ops, with a cache of
+    Tensors: ``cache[prefix]`` holds K^T and V, which a growing
+    (self-attention) cache extends by concat on every call and any other
+    computes on its first call."""
+    q = M._split_heads(ad.matmul(q_in, params[f"{prefix}.wq"]), heads)
+    if prefix in cache and not grow:
+        k_t, v = cache[prefix]
+    else:
+        k_t, v = M._keys_values(kv_in, params, prefix, heads)
+        if prefix in cache:
+            old_k, old_v = cache[prefix]
+            k_t, v = ad.concat([old_k, k_t], axis=3), ad.concat([old_v, v], axis=2)
+        cache[prefix] = (k_t, v)
+    hd = q.shape[-1]
+    scores = ad.scale(ad.matmul(q, k_t), 1.0 / np.sqrt(hd))
+    if mask is not None:
+        scores = ad.add(scores, ad.Tensor(mask))
+    att = ad.softmax(scores, axis=-1)
+    return ad.matmul(M._merge_heads(ad.matmul(att, v)), params[f"{prefix}.wo"])
+
+
+def decode_cached_ref(enc_out, enc_mask, dec_ids, params, cfg, cache) -> np.ndarray:
+    """Cached decoder logits (B, L, vocab) for the new positions
+    ``dec_ids``, with ``attention_cached_ref`` in every attention:
+    ``cache`` is a dict, empty at first, holding ``"length"`` and the
+    Tensor keys and values."""
+    length = dec_ids.shape[1]
+    start = cache.get("length", 0)
+    with ad.no_grad():
+        y = ad.add(ad.embedding(params["dec_embed"], dec_ids),
+                   ad.narrow(params["pos_dec"], 0, start, length))
+        causal = M._causal_mask(length, start)
+        for i in range(cfg.decoder_layers):
+            h = M._ln(y, params, f"dec{i}.ln1")
+            y = ad.add(y, attention_cached_ref(h, h, params, f"dec{i}.self", cfg.heads,
+                                               causal, cache, grow=True))
+            ca = attention_cached_ref(M._ln(y, params, f"dec{i}.ln2"), enc_out, params,
+                                      f"dec{i}.cross", cfg.heads, enc_mask, cache, grow=False)
+            y = ad.add(y, ca)
+            y = ad.add(y, M._ffn(M._ln(y, params, f"dec{i}.ln3"), params, f"dec{i}.ffn"))
+        cache["length"] = start + length
+        y = M._ln(y, params, "dec_ln")
+        return ad.add(ad.matmul(y, params["out.w"]), params["out.b"]).data
 
 
 def read_grid_naive(path):

@@ -177,15 +177,14 @@ def test_grad_cross_entropy(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_conv2d(seed):
-    # a batch sums its weight gradient over images; the loss is linear in
-    # each coordinate, so central differences are exact up to rounding,
-    # which a wider step shrinks
+    # a batch sums its weight gradient over images; at seed 4 and batch 3
+    # one weight's gradient is 1.76e-4, near zero for its tensor
     rng = np.random.default_rng(seed)
     for n in (1, 3):
         x = ad.Tensor(rng.normal(size=(n, 5, 5, 2)))
         w = ad.Tensor(rng.normal(size=(3, 3, 2, 3)))
         c = rng.normal(size=(n, 3, 3, 3))
-        check(lambda x, w: dot_loss(ad.conv2d(x, w, stride=2, pad=1), c), [x, w], h=1e-3)
+        check(lambda x, w: dot_loss(ad.conv2d(x, w, stride=2, pad=1), c), [x, w])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -195,8 +194,7 @@ def test_grad_conv2d_transpose(seed):
         x = ad.Tensor(rng.normal(size=(n, 3, 3, 3)))
         w = ad.Tensor(rng.normal(size=(4, 4, 2, 3)))
         c = rng.normal(size=(n, 6, 6, 2))
-        check(lambda x, w: dot_loss(ad.conv2d_transpose(x, w, stride=2, pad=1), c), [x, w],
-              h=1e-3)
+        check(lambda x, w: dot_loss(ad.conv2d_transpose(x, w, stride=2, pad=1), c), [x, w])
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +207,27 @@ def test_grad_linear_is_near_exact():
     c = rng.normal(size=(6,))
     err = grad_check(lambda a: dot_loss(a, c), [a])
     assert err < 1e-10
+
+
+def _misscaled_identity(a, factor, at):
+    """Identity whose backward scales the gradient at the flat indices
+    ``at`` by ``factor``: a wrong gradient for grad_check to catch."""
+    def bwd(g):
+        g = g.copy()
+        g.reshape(-1)[at] *= factor
+        return (g,)
+    return ad._make(a.data.copy(), (a,), bwd, "misscaled")
+
+
+@pytest.mark.parametrize("at", [slice(None), 3, 4], ids=["all", "small", "tiny"])
+def test_grad_check_catches_a_gradient_off_by_a_tenth_of_a_percent(at):
+    # the gradient of coordinate 3 is 1e-2 of the largest; that of
+    # coordinate 4 is 1e-4 of it, so it is scored against the floor
+    a = ad.Tensor(np.array([0.3, -1.2, 0.8, 0.5, 2.0]))
+    c = np.array([1.0, 2.0, -3.0, 0.03, 3e-4])
+    assert grad_check(lambda a: dot_loss(a, c), [a]) < TOL
+    err = grad_check(lambda a: dot_loss(_misscaled_identity(a, 1.001, at), c), [a])
+    assert err > TOL
 
 
 def test_sum_gradient_is_ones():

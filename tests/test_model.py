@@ -9,7 +9,7 @@ from uniar.codec import decode_robust, encode_target, quantize
 from uniar.errors import NumericError, ParseError, ValidationError
 from uniar.types import GrayMap, ImageGrid, PromptSpec, RatingSample, Sample, Scanpath
 
-from oracles import grad_check
+from oracles import decode_cached_ref, grad_check
 
 CFG = M.ModelConfig()
 # small config for gradient sweeps: 20px image, 4px patches, 16-dim embed
@@ -418,14 +418,49 @@ def _greedy_full_recompute(fused, params, cfg, max_tokens):
 
 
 def test_cached_logits_match_full_recompute_at_every_step():
+    # and equal, bit for bit, those of the engine-op cache oracle
     for i in range(8):
         fused, params, _ = _decode_case(i)
         ids, full = _greedy_full_recompute(fused, params, DECODE, 64)
-        cache = {}
+        cache, ref_cache = {}, {}
         for step, prev in enumerate([M.BOS_ID] + ids[:-1]):
             cached = M.next_token_logits(fused, params, DECODE, [prev], cache=cache)
             assert np.abs(cached - full[step]).max() <= 1e-12
+            want = decode_cached_ref(fused, None, np.array([[prev]]), params, DECODE, ref_cache)
+            assert np.array_equal(cached, want[0, -1])
         assert cache["length"] == len(ids)
+
+
+def test_batched_cache_with_mixed_prompt_lengths_equals_the_oracle():
+    # two rows whose prompts differ in length, so the shorter one's key
+    # mask hides a padded encoder position
+    params = M.init_params(DECODE, seed=2)
+    rng = np.random.default_rng(7)
+    images = rng.uniform(size=(2, 20, 20, 3))
+    prompt_ids, prompt_mask = M._prompt_batch([path_prompt("brightest"), path_prompt()], DECODE)
+    assert (prompt_mask[1] != 0).any() and (prompt_mask[0] == 0).all()
+    with ad.no_grad():
+        fused, key_mask = M._encode_batch(images, prompt_ids, prompt_mask, params, DECODE)
+    # one new position a row and step, as lockstep decoding feeds them
+    steps = [[M.BOS_ID, M.BOS_ID]] + rng.integers(0, M.VOCAB_SIZE, size=(39, 2)).tolist()
+    cache, ref_cache = {}, {}
+    for step in steps:
+        ids = np.array(step, dtype=np.int64)[:, None]
+        with ad.no_grad():
+            got = M._decode_batch(fused, key_mask, ids, params, DECODE, cache=cache).data
+        assert np.array_equal(got, decode_cached_ref(fused, key_mask, ids, params, DECODE,
+                                                     ref_cache))
+    hd = DECODE.embed_dim // DECODE.heads
+    k_t, v = cache["dec1.self"]
+    assert k_t.shape == (2, DECODE.heads, hd, DECODE.max_output_tokens)
+    assert v.shape == (2, DECODE.heads, DECODE.max_output_tokens, hd)
+    assert cache["length"] == len(steps)
+
+
+def test_cache_under_grad_mode_raises():
+    fused, params, _ = _decode_case(0)
+    with pytest.raises(ValidationError, match="grad-free"):
+        M._decode_batch(fused, None, np.array([[M.BOS_ID]]), params, DECODE, cache={})
 
 
 def test_cached_generation_matches_full_recompute_strings():
@@ -621,6 +656,23 @@ def test_params_load_takes_its_config_by_keyword(tmp_path):
         M.load_params(path, cfg=CFG)
 
 
+def test_params_load_scans_each_tensor_once(tmp_path, monkeypatch):
+    # load_checkpoint's scan is the only one: the parameters are not
+    # checked again as they are wrapped, and a non-finite tensor still
+    # names the file and the tensor
+    params = M.init_params(SMALL, seed=33)
+    path = tmp_path / "model.ckpt"
+    M.save_params(path, params)
+    checks = []
+    monkeypatch.setattr(ad, "check_finite", lambda *a, **k: checks.append(a))
+    assert list(M.load_params(path, SMALL)) == list(params)
+    assert checks == []
+    params["dec0.ffn.w2"].data[3, 1] = np.inf
+    M.save_params(path, params)
+    with pytest.raises(ParseError, match=f"^{path}: checkpoint tensor 'dec0.ffn.w2' holds"):
+        M.load_params(path, SMALL)
+
+
 def test_params_checkpoint_config_mismatch(tmp_path):
     params = M.init_params(SMALL, seed=0)
     path = tmp_path / "model.ckpt"
@@ -656,6 +708,9 @@ def overflowing(name, cfg=SMALL):
     ("heat.read1.w", "heatmap", "conv2d"),
     ("rate.fc2.w", "rating", "matmul"),
     ("out.w", "logits", "matmul"),
+    ("dec0.self.wq", "logits", "matmul"),
+    ("dec0.cross.wv", "logits", "matmul"),
+    ("dec0.self.wo", "logits", "matmul"),
 ])
 def test_inference_boundary_names_the_overflowing_op(weight, boundary, op):
     rng = np.random.default_rng(40)

@@ -1,17 +1,23 @@
 """Every function the benchmark's tracer wraps by name must exist in
-uniar, so a deletion or rename fails here before it breaks a traced
-benchmark run. perfbench/spans.py is loaded by path and left as is."""
+uniar, and every op its registry expects on a workload must run there,
+so a deletion, rename or fusion fails here before it breaks a traced
+benchmark run. perfbench/spans.py and registry.json are read by path
+and left as they are."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uniar import autodiff, cli, data, metrics, model
+from uniar.types import GrayMap, ImageGrid, PromptSpec, RatingSample, Sample, Scanpath
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +59,56 @@ def test_cli_binds_the_hooked_functions():
     assert "evaluate_heatmap" in cli._heatmap_one.__code__.co_names
     assert "multimatch" in cli._scanpath_one.__code__.co_names
     assert "run_training" in cli._cmd_train.__code__.co_names
+
+
+# what each benchmark workload runs through the model, at a small size:
+# `train` steps over a mixed batch with its probe decode, `predict_eval`
+# asks each head once
+SMALL = model.ModelConfig(image_size=20, patch_size=4, embed_dim=16, encoder_layers=1,
+                          decoder_layers=1, heads=2, max_output_tokens=16)
+
+
+def _train_work():
+    rng = np.random.default_rng(0)
+    image = lambda: ImageGrid(20, 20, rng.uniform(size=(20, 20, 3)))
+    batch = [Sample(image(), PromptSpec("natural image", "scanpath"),
+                    Scanpath((20, 20), rng.uniform(0, 20, size=(3, 2)))),
+             Sample(image(), PromptSpec("natural image", "saliency heatmap"),
+                    GrayMap(20, 20, rng.uniform(size=(20, 20)))),
+             Sample(image(), PromptSpec("natural image", "aesthetics score"),
+                    RatingSample(0.4))]
+    samples = iter(batch)
+    model.run_training(model.init_params(SMALL, seed=0), SMALL, lambda: next(samples),
+                       steps=1, batch_size=3, gen_every=1)
+
+
+def _predict_work():
+    params = model.init_params(SMALL, seed=1)
+    image = ImageGrid(12, 16, np.random.default_rng(1).uniform(size=(16, 12, 3)))
+    model.predict_heatmap(image, PromptSpec("natural image", "saliency heatmap"), params, SMALL)
+    model.predict_rating(image, PromptSpec("natural image", "aesthetics score"), params, SMALL)
+    model.predict_scanpath(image, PromptSpec("natural image", "scanpath", "brightest"),
+                           params, SMALL)
+
+
+@pytest.mark.parametrize("workload,work", [("train", _train_work),
+                                           ("predict_eval", _predict_work)])
+def test_registry_ops_are_exercised(spans, workload, work):
+    # the traced benchmark reports "per-layer metric ... not exercised"
+    # for every op the registry expects on a workload and no span saw;
+    # a fusion that drops an op from a path fails here first
+    registry = json.loads((PERFBENCH / "registry.json").read_text(encoding="utf-8"))
+    expected = {name for name, on in registry["per_layer_workloads"].items() if workload in on}
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    tracer.enabled = True
+    try:
+        work()
+    finally:
+        tracer.enabled = False
+        undo()
+    totals = tracer.totals()
+    missing = [f"autodiff.{op}.{kind}" for op in spans.AUTODIFF_OPS
+               for kind, span in (("calls", f"autodiff.{op}"), ("bwd_ms", f"autodiff.{op}.bwd"))
+               if f"autodiff.{op}.{kind}" in expected and span not in totals]
+    assert missing == []
