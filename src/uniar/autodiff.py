@@ -13,22 +13,23 @@ and one way in, so an error in reading one names its path.
 
 Op bodies stay lean, as inference runs them on small arrays, where
 Python overhead is a large share (a cached decode step skips them: it
-runs their forwards, such as ``softmax_data``, on plain arrays and
-hands its result back through ``leaf``): reductions call the ufunc
-(``np.add.reduce(x, ...) / n`` is what ``x.mean`` computes for
-float64, minus its Python wrapper), and work only the backward needs
-happens inside ``bwd``. Convolutions are one primitive and its
-adjoint: ``conv2d`` runs the primitive forward and the adjoint for its
-input gradient, ``conv2d_transpose`` the other way round. The
-primitive lays its input once on a zero canvas and copies one image's
-kh x kw windows at a time into one reused buffer for the matmul, so no
-batch-sized im2col is ever built or kept; it keeps the padded input,
-from which the weight gradient rebuilds each image's windows and sums
-``cols_i^T @ g_i``. The adjoint splits a stride-s transposed
-convolution into s x s phase sub-convolutions, one per output residue
-(row mod s, column mod s), each with the taps that reach it, so it
-multiplies no zeros. Both are checked against the explicit-loop
-oracles in the test suite.
+makes their forwards' arithmetic on plain arrays, ``softmax_data`` as
+is and each layer norm on a row's Python-float mean and inverse
+standard deviation, and hands its result back through ``leaf``):
+reductions call the ufunc (``np.add.reduce(x, ...) / n`` is what
+``x.mean`` computes for float64, minus its Python wrapper), and work
+only the backward needs happens inside ``bwd``. Convolutions are one
+primitive and its adjoint: ``conv2d`` runs the primitive forward and
+the adjoint for its input gradient, ``conv2d_transpose`` the other way
+round. The primitive lays its input once on a zero canvas and copies
+one image's kh x kw windows at a time into one reused buffer for the
+matmul, so no batch-sized im2col is ever built or kept; it keeps the
+padded input, from which the weight gradient rebuilds each image's
+windows and sums ``cols_i^T @ g_i``. The adjoint splits a stride-s
+transposed convolution into s x s phase sub-convolutions, one per
+output residue (row mod s, column mod s), each with the taps that
+reach it, so it multiplies no zeros. Both are checked against the
+explicit-loop oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -250,11 +251,6 @@ def _normalized(x: np.ndarray, eps: float) -> tuple:
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     return xc * inv, inv
-
-
-def layer_norm_data(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """``layer_norm``'s forward on a plain array, for grad-free callers."""
-    return _normalized(x, eps)[0]
 
 
 def layer_norm(a, eps: float = 1e-5) -> Tensor:

@@ -13,6 +13,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -451,7 +452,9 @@ def _cmd_mixture_check(args) -> None:
 # ---------------------------------------------------------------------------
 # wiring
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built once a process; argparse copies an ``append`` default list."""
     parser = _Parser(prog="uniar", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -337,19 +337,9 @@ def _ln(x, params, prefix):
     return ad.add(ad.mul(ad.layer_norm(x), params[f"{prefix}.g"]), params[f"{prefix}.b"])
 
 
-def _ln_data(x: np.ndarray, params, prefix) -> np.ndarray:
-    return ad.layer_norm_data(x) * params[f"{prefix}.g"].data + params[f"{prefix}.b"].data
-
-
 def _ffn(x, params, prefix):
     h = ad.relu(ad.add(ad.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
     return ad.add(ad.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
-
-
-def _ffn_data(x: np.ndarray, params, prefix) -> np.ndarray:
-    h = np.matmul(x, params[f"{prefix}.w1"].data) + params[f"{prefix}.b1"].data
-    h = np.where(h > 0, h, 0.0)  # ad.relu's forward
-    return np.matmul(h, params[f"{prefix}.w2"].data) + params[f"{prefix}.b2"].data
 
 
 def _split_heads(x, heads):
@@ -372,14 +362,6 @@ def _keys_values(kv_in, params, prefix, heads) -> tuple:
             _split_heads(ad.matmul(kv_in, params[f"{prefix}.wv"]), heads))
 
 
-def _keys_values_data(kv_in: np.ndarray, params, prefix, heads) -> tuple:
-    """_keys_values on plain arrays, with the same numpy calls."""
-    b, t, d = kv_in.shape
-    k = np.matmul(kv_in, params[f"{prefix}.wk"].data).reshape(b, t, heads, d // heads)
-    v = np.matmul(kv_in, params[f"{prefix}.wv"].data).reshape(b, t, heads, d // heads)
-    return k.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
-
-
 def _attention(q_in, kv_in, params, prefix, heads, mask=None):
     """Multi-head scaled dot-product attention. ``mask`` is an additive
     numpy array broadcastable to (B, heads, Tq, Tk), or None."""
@@ -393,39 +375,12 @@ def _attention(q_in, kv_in, params, prefix, heads, mask=None):
     return ad.matmul(_merge_heads(ad.matmul(att, v)), params[f"{prefix}.wo"])
 
 
-def _cached_attention(x, params, prefix, heads, mask, cache, grow=False) -> np.ndarray:
-    """_attention of ``x`` on plain arrays, over the keys and values that
-    ``cache[prefix]`` holds (see _new_cache). A growing (self-attention)
-    cache first writes those of ``x`` in place, at positions
-    cache["length"] onward."""
-    b, length, d = x.shape
-    hd = d // heads
-    q = np.matmul(x, params[f"{prefix}.wq"].data).reshape(b, length, heads, hd)
-    k_t, v = cache[prefix]
-    if grow:
-        end = cache["length"] + length
-        k_t[..., end - length:end], v[:, :, end - length:end] = _keys_values_data(
-            x, params, prefix, heads)
-        # the keys' prefix is copied out C-contiguous, as a concat of one
-        # position a step lays it out: with the buffer's row stride,
-        # OpenBLAS's gemv rounds rows of 2 or 3 keys differently
-        k_t, v = np.ascontiguousarray(k_t[..., :end]), v[:, :, :end]
-    scores = np.matmul(q.transpose(0, 2, 1, 3), k_t) * (1.0 / math.sqrt(hd))
-    if mask is not None:
-        scores = scores + mask
-    att = ad.softmax_data(scores)
-    return np.matmul(np.matmul(att, v).transpose(0, 2, 1, 3).reshape(b, length, d),
-                     params[f"{prefix}.wo"].data)
-
-
-def _causal_mask(length: int, start: int = 0):
-    """Additive mask for ``length`` queries at positions start, start+1,
-    ... over the keys of positions 0 .. start+length-1. None for a single
+def _causal_mask(length: int):
+    """Additive mask hiding each query's later keys, or None for a single
     query, which may see every key."""
     if length == 1:
         return None
-    m = np.triu(np.full((length, start + length), MASK_VALUE), k=start + 1)
-    return m[None, None]
+    return np.triu(np.full((length, length), MASK_VALUE), k=1)[None, None]
 
 
 def pad_image(image: ImageGrid, size: int) -> np.ndarray:
@@ -551,18 +506,35 @@ def _rating_batch(img_tokens, params, cfg) -> Tensor:
 # decoder
 
 def _new_cache(enc_out: np.ndarray, params, cfg) -> dict:
-    """Decode cache for a batch of encoder outputs, at length 0: per
-    decoder layer, self-attention's K^T (B, heads, hd, max_output_tokens)
-    and V (B, heads, max_output_tokens, hd) buffers, written as positions
-    arrive, and cross-attention's K^T and V over ``enc_out``."""
+    """Decode cache for a batch of encoder outputs, at length 0. One tuple
+    a decoder layer binds, in _decode_step's order: self-attention's K^T
+    (B, heads, hd, max_output_tokens) and V (B, heads, max_output_tokens,
+    hd) buffers, written as positions arrive; cross-attention's K^T and V
+    over ``enc_out``; and the layer's weight arrays, with self-attention's
+    wq|wk|wv as one (D, 3D) matrix. ``"head"`` binds the embeddings, the
+    final norm and the output projection."""
     b = enc_out.shape[0]
     hd = cfg.embed_dim // cfg.heads
     n = cfg.max_output_tokens
-    cache = {"length": 0}
+
+    def bind(prefix, *names):
+        return tuple(params[f"{prefix}.{m}"].data for m in names)
+
+    layers = []
     for i in range(cfg.decoder_layers):
-        cache[f"dec{i}.self"] = (np.empty((b, cfg.heads, hd, n)), np.empty((b, cfg.heads, n, hd)))
-        cache[f"dec{i}.cross"] = _keys_values_data(enc_out, params, f"dec{i}.cross", cfg.heads)
-    return cache
+        p = f"dec{i}"
+        ck, cv = (np.matmul(enc_out, w).reshape(b, -1, cfg.heads, hd)
+                  for w in bind(f"{p}.cross", "wk", "wv"))
+        layers.append((np.empty((b, cfg.heads, hd, n)), np.empty((b, cfg.heads, n, hd)),
+                       ck.transpose(0, 2, 3, 1), cv.transpose(0, 2, 1, 3),
+                       *bind(f"{p}.ln1", "g", "b"),
+                       np.concatenate(bind(f"{p}.self", "wq", "wk", "wv"), axis=1),
+                       *bind(f"{p}.self", "wo"), *bind(f"{p}.ln2", "g", "b"),
+                       *bind(f"{p}.cross", "wq", "wo"), *bind(f"{p}.ln3", "g", "b"),
+                       *bind(f"{p}.ffn", "w1", "b1", "w2", "b2")))
+    return {"length": 0, "layers": layers,
+            "head": (params["dec_embed"].data, params["pos_dec"].data,
+                     *bind("dec_ln", "g", "b"), *bind("out", "w", "b"))}
 
 
 def _decode_batch(enc_out, enc_mask, dec_ids: np.ndarray, params, cfg, cache=None) -> Tensor:
@@ -575,26 +547,34 @@ def _decode_batch(enc_out, enc_mask, dec_ids: np.ndarray, params, cfg, cache=Non
     length is harmless as long as the caller zero-weights those
     positions. With a ``cache`` dict (one per batch of decoded sequences
     and their encoder output, empty at first), ``dec_ids`` are only the
-    positions the cache has not seen yet, and the step runs on plain
-    arrays (_decode_step). The first call fills the cache with numpy
-    key/value arrays with a batch axis, self-attention's preallocated to
-    max_output_tokens positions (_new_cache). A cache holds no graph:
-    passing one while grad mode is on raises ValidationError."""
-    b, length = dec_ids.shape
+    positions the cache has not seen yet, run one at a time on plain
+    arrays with no engine op (_decode_step). The first call fills the
+    cache with numpy key/value arrays with a batch axis, self-attention's
+    preallocated to max_output_tokens positions, and binds the decoder's
+    weights (_new_cache). A cache holds no graph: passing one while grad
+    mode is on raises ValidationError."""
+    length = dec_ids.shape[1]
     if cache is not None and ad.grad_enabled():
         raise ValidationError("a decode cache is grad-free; decode with it under no_grad")
+    if not length:
+        raise ValidationError("no decoder positions to decode")
     start = cache.get("length", 0) if cache is not None else 0
     if start + length > cfg.max_output_tokens:
         raise ValidationError(
             f"decoder input length {start + length} exceeds max_output_tokens "
             f"{cfg.max_output_tokens}")
-    embedded = ad.embedding(params["dec_embed"], dec_ids)
     if cache is not None:
+        if dec_ids.dtype.kind not in "iu":  # ad.embedding's checks
+            raise ValidationError("embedding ids must be integers")
+        if dec_ids.min() < 0 or dec_ids.max() >= VOCAB_SIZE:
+            raise ValidationError("embedding id outside table")
         if not cache:
             cache.update(_new_cache(enc_out.data, params, cfg))
-        return ad.leaf(_decode_step(embedded.data, enc_mask, params, cfg, cache), "the decoder")
-    y = ad.add(embedded, ad.narrow(params["pos_dec"], 0, start, length))
-    causal = _causal_mask(length, start)
+        steps = [_decode_step(dec_ids[:, j:j + 1], enc_mask, cfg, cache) for j in range(length)]
+        return ad.leaf(np.concatenate(steps, axis=1) if length > 1 else steps[0], "the decoder")
+    y = ad.add(ad.embedding(params["dec_embed"], dec_ids),
+               ad.narrow(params["pos_dec"], 0, 0, length))
+    causal = _causal_mask(length)
     for i in range(cfg.decoder_layers):
         h = _ln(y, params, f"dec{i}.ln1")
         y = ad.add(y, _attention(h, h, params, f"dec{i}.self", cfg.heads, mask=causal))
@@ -606,26 +586,56 @@ def _decode_batch(enc_out, enc_mask, dec_ids: np.ndarray, params, cfg, cache=Non
     return ad.add(ad.matmul(y, params["out.w"]), params["out.b"])
 
 
-def _decode_step(embedded: np.ndarray, enc_mask, params, cfg, cache) -> np.ndarray:
-    """_decode_batch's composed decoder on plain arrays, for the embedded
-    new positions against ``cache`` (see _new_cache), which it advances.
-    It makes the ops' numpy calls in their order, so its logits equal, bit
-    for bit, those of the composed ops over a concat-grown engine-op
-    cache (tests/oracles.py) when each call adds one position, as greedy
-    decoding does."""
-    length = embedded.shape[1]
+def _ln_rows(y: np.ndarray, g, b, eps: float = 1e-5) -> np.ndarray:
+    """ad.layer_norm of each (1, D) row of ``y``, times ``g`` plus ``b``:
+    the op's float64 arithmetic in its order, with the row's mean and
+    inverse standard deviation as Python floats."""
+    if len(y) > 1:
+        return np.concatenate([_ln_rows(row[None], g, b, eps) for row in y])
+    n = y.shape[-1]
+    xc = y - np.add.reduce(y, axis=None) / n
+    inv = 1.0 / math.sqrt(np.add.reduce(xc * xc, axis=None) / n + eps)
+    return xc * inv * g + b
+
+
+def _attend(q: np.ndarray, k_t, v, mask, wo, heads) -> np.ndarray:
+    """_attention's numpy calls for (B, 1, D) queries over cached K^T and
+    V; with one query a row, its head split and merge are reshapes."""
+    b, _, d = q.shape
+    scores = np.matmul(q.reshape(b, heads, 1, -1), k_t) * (1.0 / math.sqrt(d // heads))
+    if mask is not None:
+        scores = scores + mask
+    return np.matmul(np.matmul(ad.softmax_data(scores), v).reshape(b, 1, d), wo)
+
+
+def _decode_step(ids: np.ndarray, enc_mask, cfg, cache) -> np.ndarray:
+    """_decode_batch's composed decoder on plain arrays, for one new
+    position a row, ``ids`` (B, 1), against ``cache`` (see _new_cache),
+    which it advances. It makes the ops' float64 arithmetic in their
+    order, so its logits equal, bit for bit, those of the composed ops
+    over a concat-grown engine-op cache (tests/oracles.py). Rows stay
+    (B, 1, D) operands: one gemv a row."""
     start = cache["length"]
-    y = embedded + params["pos_dec"].data[start:start + length]
-    causal = _causal_mask(length, start)
-    for i in range(cfg.decoder_layers):
-        h = _ln_data(y, params, f"dec{i}.ln1")
-        y = y + _cached_attention(h, params, f"dec{i}.self", cfg.heads, causal, cache,
-                                  grow=True)
-        y = y + _cached_attention(_ln_data(y, params, f"dec{i}.ln2"), params, f"dec{i}.cross",
-                                  cfg.heads, enc_mask, cache)
-        y = y + _ffn_data(_ln_data(y, params, f"dec{i}.ln3"), params, f"dec{i}.ffn")
-    cache["length"] = start + length
-    return np.matmul(_ln_data(y, params, "dec_ln"), params["out.w"].data) + params["out.b"].data
+    end = start + 1
+    embed, pos, g, b, out_w, out_b = cache["head"]
+    y = embed[ids] + pos[start:end]
+    rows, _, d = y.shape
+    heads = cfg.heads
+    for (k_t, v, ck_t, cv, g1, b1, wqkv, wo, g2, b2, cwq, cwo, g3, b3,
+         w1, c1, w2, c2) in cache["layers"]:
+        qkv = np.matmul(_ln_rows(y, g1, b1), wqkv)
+        k_t[..., start] = qkv[:, 0, d:2 * d].reshape(rows, heads, -1)
+        v[:, :, start] = qkv[:, 0, 2 * d:].reshape(rows, heads, -1)
+        # the keys' prefix is copied out C-contiguous, as a concat of one
+        # position a step lays it out: with the buffer's row stride,
+        # OpenBLAS's gemv rounds rows of 2 or 3 keys differently
+        y = y + _attend(qkv[..., :d], np.ascontiguousarray(k_t[..., :end]), v[:, :, :end],
+                        None, wo, heads)
+        y = y + _attend(np.matmul(_ln_rows(y, g2, b2), cwq), ck_t, cv, enc_mask, cwo, heads)
+        h = np.matmul(_ln_rows(y, g3, b3), w1) + c1
+        y = y + (np.matmul(np.where(h > 0, h, 0.0), w2) + c2)  # ad.relu's forward
+    cache["length"] = end
+    return np.matmul(_ln_rows(y, g, b), out_w) + out_b
 
 
 def next_token_logits(fused, params, cfg: ModelConfig, prefix_ids=(BOS_ID,),
@@ -655,9 +665,10 @@ def scanpath_generate(fused, params, cfg: ModelConfig, max_tokens=None) -> str:
     overflowed."""
     if max_tokens is None:
         max_tokens = cfg.max_output_tokens
-    if not (1 <= max_tokens <= cfg.max_output_tokens):
+    if (isinstance(max_tokens, bool) or not isinstance(max_tokens, int)
+            or not 1 <= max_tokens <= cfg.max_output_tokens):
         raise ValidationError(
-            f"max_tokens must lie in [1, {cfg.max_output_tokens}], got {max_tokens}")
+            f"max_tokens must be an int in [1, {cfg.max_output_tokens}], got {max_tokens!r}")
     cache: dict = {}
     out = [BOS_ID]
     for _ in range(max_tokens):
@@ -771,9 +782,7 @@ def run_training(params, cfg: ModelConfig, next_sample, steps: int,
         params, opt_state, loss = train_step(batch, params, opt_state, cfg, lr=lr)
         valid = None
         if step % gen_every == 0 and probe is not None:
-            raw = predict_scanpath(probe.image, probe.prompt, params, cfg)[0]
-            result = decode_robust(raw, (probe.image.width, probe.image.height))
-            valid = int(result.valid)
+            valid = int(predict_scanpath(probe.image, probe.prompt, params, cfg)[1].valid)
         rows.append((step, loss, valid))
     return params, opt_state, rows
 

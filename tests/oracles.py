@@ -442,7 +442,9 @@ def decode_cached_ref(enc_out, enc_mask, dec_ids, params, cfg, cache) -> np.ndar
     with ad.no_grad():
         y = ad.add(ad.embedding(params["dec_embed"], dec_ids),
                    ad.narrow(params["pos_dec"], 0, start, length))
-        causal = M._causal_mask(length, start)
+        # queries at positions start.. over the keys of positions 0..
+        causal = None if length == 1 else np.triu(
+            np.full((length, start + length), M.MASK_VALUE), k=start + 1)[None, None]
         for i in range(cfg.decoder_layers):
             h = M._ln(y, params, f"dec{i}.ln1")
             y = ad.add(y, attention_cached_ref(h, h, params, f"dec{i}.self", cfg.heads,

@@ -113,6 +113,21 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 
+    def test_help_exits_zero_twice_in_one_process(self, capsys):
+        # the parser is built once a process, so a second --help reuses it
+        for _ in range(2):
+            assert run(["--help"]) == 0
+            assert "usage" in capsys.readouterr().out
+
+    def test_parser_built_once_parses_each_argv_afresh(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        first = parser.parse_args(["train", "--data", "a", "--data", "b", "--out", "o"])
+        second = parser.parse_args(["train", "--data", "c", "--out", "o"])
+        third = parser.parse_args(["train", "--synthetic", "--out", "o"])
+        assert (first.data, second.data, third.data) == (["a", "b"], ["c"], [])
+        assert first.data is not second.data
+
     def test_bad_log_level_is_usage_error(self, monkeypatch):
         monkeypatch.setenv("UNIAR_LOG", "verbose")
         assert run(["--help"]) == 1

@@ -436,6 +436,10 @@ def test_batched_cache_with_mixed_prompt_lengths_equals_the_oracle():
     # mask hides a padded encoder position
     params = M.init_params(DECODE, seed=2)
     rng = np.random.default_rng(7)
+    # gains and biases away from their 1 and 0 init, so that their order counts
+    for name, t in params.items():
+        if name.startswith(("dec", "out")) and t.data.ndim == 1:
+            t.data[...] = rng.normal(t.data, 0.5)
     images = rng.uniform(size=(2, 20, 20, 3))
     prompt_ids, prompt_mask = M._prompt_batch([path_prompt("brightest"), path_prompt()], DECODE)
     assert (prompt_mask[1] != 0).any() and (prompt_mask[0] == 0).all()
@@ -451,7 +455,7 @@ def test_batched_cache_with_mixed_prompt_lengths_equals_the_oracle():
         assert np.array_equal(got, decode_cached_ref(fused, key_mask, ids, params, DECODE,
                                                      ref_cache))
     hd = DECODE.embed_dim // DECODE.heads
-    k_t, v = cache["dec1.self"]
+    k_t, v = cache["layers"][1][:2]
     assert k_t.shape == (2, DECODE.heads, hd, DECODE.max_output_tokens)
     assert v.shape == (2, DECODE.heads, DECODE.max_output_tokens, hd)
     assert cache["length"] == len(steps)
@@ -483,6 +487,33 @@ def test_cache_accepts_several_new_positions_at_once():
     last = M.next_token_logits(fused, params, DECODE, ids[4:], cache=cache)
     assert np.abs(chunk - M.next_token_logits(fused, params, DECODE, ids[:4])).max() <= 1e-12
     assert np.abs(last - M.next_token_logits(fused, params, DECODE, ids)).max() <= 1e-12
+
+
+def test_empty_prefix_raises_with_or_without_a_cache():
+    fused, params, _ = _decode_case(0)
+    for cache in (None, {}):
+        with pytest.raises(ValidationError, match="no decoder positions"):
+            M.next_token_logits(fused, params, DECODE, [], cache=cache)
+
+
+def test_cached_ids_are_checked_like_the_embedding_op():
+    fused, params, _ = _decode_case(0)
+    for bad in ([M.VOCAB_SIZE], [-1]):
+        with pytest.raises(ValidationError, match="embedding id outside table"):
+            M.next_token_logits(fused, params, DECODE, bad, cache={})
+    with ad.no_grad(), pytest.raises(ValidationError, match="embedding ids must be integers"):
+        M._decode_batch(fused, None, np.array([[1.0]]), params, DECODE, cache={})
+
+
+@pytest.mark.parametrize("max_tokens", [2.5, 3.0, True, False, "4", np.int64(4)])
+def test_max_tokens_must_be_a_plain_int(max_tokens):
+    params = M.init_params(SMALL, seed=0)
+    img = rand_image(np.random.default_rng(0), SMALL.image_size)
+    with pytest.raises(ValidationError, match="max_tokens"):
+        M.predict_scanpath(img, path_prompt(), params, SMALL, max_tokens=max_tokens)
+    fused = M.encode_inputs(img, path_prompt(), params, SMALL)
+    with pytest.raises(ValidationError, match="max_tokens"):
+        M.scanpath_generate(fused, params, SMALL, max_tokens=max_tokens)
 
 
 def test_cache_at_max_output_tokens_raises():

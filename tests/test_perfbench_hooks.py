@@ -47,6 +47,9 @@ def test_decode_position_counter_arguments():
     params = list(inspect.signature(model.next_token_logits).parameters)
     assert params[3] == "prefix_ids"
     assert "next_token_logits" in model.scanpath_generate.__code__.co_names
+    # and next_token_logits reaches the decoder through the name of the
+    # model.decoder span
+    assert "_decode_batch" in model.next_token_logits.__code__.co_names
 
 
 def test_cli_binds_the_hooked_functions():
@@ -112,3 +115,21 @@ def test_registry_ops_are_exercised(spans, workload, work):
                for kind, span in (("calls", f"autodiff.{op}"), ("bwd_ms", f"autodiff.{op}.bwd"))
                if f"autodiff.{op}.{kind}" in expected and span not in totals]
     assert missing == []
+
+
+def test_cached_greedy_steps_call_no_engine_op(spans, monkeypatch):
+    params = model.init_params(SMALL, seed=1)
+    image = ImageGrid(20, 20, np.random.default_rng(2).uniform(size=(20, 20, 3)))
+    fused = model.encode_inputs(image, PromptSpec("natural image", "scanpath"), params, SMALL)
+    calls = []
+    for op in spans.AUTODIFF_OPS:
+        fn = getattr(autodiff, op)
+        monkeypatch.setattr(autodiff, op,
+                            lambda *a, _op=op, _fn=fn, **k: calls.append(_op) or _fn(*a, **k))
+    cache, prev = {}, model.BOS_ID
+    for _ in range(3):
+        prev = int(np.argmax(model.next_token_logits(fused, params, SMALL, [prev], cache=cache)))
+    assert cache["length"] == 3 and calls == []
+    # the counting wrappers do see an uncached step's ops
+    model.next_token_logits(fused, params, SMALL)
+    assert "embedding" in calls and "softmax" in calls
